@@ -33,19 +33,12 @@ constexpr std::size_t kRecordsPerPoint = 20;
 double MeasureEngine(const LeakageEngine& engine, const SyntheticDataset& data,
                      const PreparedReference& ref) {
   WallTimer timer;
-  if (engine.SupportsPrepared()) {
-    LeakageWorkspace ws;
-    PreparedRecord r;
-    for (const auto& record : data.records) {
-      r.Assign(record, ref);
-      auto l = engine.RecordLeakagePrepared(r, ref, &ws);
-      if (!l.ok()) return -1.0;
-    }
-  } else {
-    for (const auto& r : data.records) {
-      auto l = engine.RecordLeakage(r, data.reference, data.weights);
-      if (!l.ok()) return -1.0;
-    }
+  LeakageWorkspace ws;
+  PreparedRecord holder;
+  for (const auto& record : data.records) {
+    holder.Assign(record, ref);
+    auto l = engine.RecordLeakageColumnar(holder.view(), ref, &ws);
+    if (!l.ok()) return -1.0;
   }
   return timer.ElapsedSeconds();
 }

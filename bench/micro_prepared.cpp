@@ -1,10 +1,11 @@
-// Microbenchmark for the prepared-evaluation layer: string API vs prepared
-// API on the workloads the layer targets — one reference scored against a
-// large database (SetLeakage) and repeated per-record evaluation. The
-// string path resolves labels/values and allocates per call; the prepared
-// path interns once per reference and reuses a caller-owned workspace, so
-// the gap here is the whole point of the layer. Run both SetLeakage
-// variants at Arg(10000)+ to reproduce the PR's headline ratio.
+// Microbenchmark for prepared evaluation: the string adapter vs a reference
+// prepared once, on the workloads preparation targets — one reference
+// scored against a large database (SetLeakage) and repeated per-record
+// evaluation. The string adapter prepares p, resolves r and allocates per
+// call; the prepared drivers intern p once and stream records through one
+// reusable holder and workspace (or a pre-built ColumnBank), so the gap
+// here is the whole point of preparing. Run both SetLeakage variants at
+// Arg(10000)+ to reproduce the headline ratio.
 
 #include <benchmark/benchmark.h>
 
@@ -39,12 +40,12 @@ Fixture MakeFixture(std::size_t n, std::size_t records,
 
 // ---------------------------------------------------------------------------
 // Headline comparison: set leakage over a large synthetic database.
-// String path: the pre-layer implementation — every record evaluation goes
-// through the virtual string API and re-resolves weights and match
-// positions by hashing strings. Prepared path: SetLeakage's PreparedReference
-// overload, which prepares p once and streams records through one reusable
-// workspace. (SetLeakage's string overload now also prepares internally, so
-// the baseline is spelled out as an explicit loop here.)
+// String path: every record evaluation goes through the string adapter and
+// re-prepares p and re-resolves r by hashing strings. Prepared path:
+// SetLeakage's PreparedReference overload, which prepares p once and
+// streams records through one reusable holder and workspace.
+// (SetLeakage's string overload also prepares once internally, so the
+// baseline is spelled out as an explicit loop here.)
 // ---------------------------------------------------------------------------
 
 double StringPathSetLeakage(const Database& db, const Record& p,
@@ -118,17 +119,18 @@ void BM_RecordLeakageString(benchmark::State& state) {
 }
 BENCHMARK(BM_RecordLeakageString)->Arg(20)->Arg(100)->Arg(500);
 
-void BM_RecordLeakagePrepared(benchmark::State& state) {
+void BM_RecordLeakageHolder(benchmark::State& state) {
   auto f = MakeFixture(static_cast<std::size_t>(state.range(0)), 1);
   ApproxLeakage engine;
   const PreparedReference ref(f.data.reference, f.data.weights);
-  PreparedRecord r(f.data.records[0], ref);
+  const PreparedRecord holder(f.data.records[0], ref);
   LeakageWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.RecordLeakagePrepared(r, ref, &ws));
+    benchmark::DoNotOptimize(
+        engine.RecordLeakageColumnar(holder.view(), ref, &ws));
   }
 }
-BENCHMARK(BM_RecordLeakagePrepared)->Arg(20)->Arg(100)->Arg(500);
+BENCHMARK(BM_RecordLeakageHolder)->Arg(20)->Arg(100)->Arg(500);
 
 // ---------------------------------------------------------------------------
 // Preparation cost itself: what the once-per-reference and once-per-record
@@ -160,7 +162,7 @@ BENCHMARK(BM_AssignRecord)->Arg(20)->Arg(100)->Arg(500);
 // record layout.
 // ---------------------------------------------------------------------------
 
-void BM_BatchLeakagePrepared(benchmark::State& state) {
+void BM_BatchLeakageRecords(benchmark::State& state) {
   auto f = MakeFixture(20, static_cast<std::size_t>(state.range(0)));
   ExactLeakage engine;
   const PreparedReference ref(f.data.reference, f.data.weights);
@@ -171,7 +173,7 @@ void BM_BatchLeakagePrepared(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_BatchLeakagePrepared)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_BatchLeakageRecords)->Arg(1000)->Arg(10000);
 
 // ---------------------------------------------------------------------------
 // Columnar path: the same set-leakage workloads streamed from a ColumnBank

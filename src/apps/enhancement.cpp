@@ -41,15 +41,12 @@ Result<std::vector<EnhancementOption>> RankEnhancements(
   const Record rc = ComposeAll(db);
   const Record rp = rc.WithFullConfidence();
   // rp is fixed across all candidate verifications: prepare it once and
-  // stream the perturbed composites through one workspace.
+  // stream the perturbed composites through one holder and workspace.
   const PreparedReference ref(rp, wm);
-  const bool prepared = engine.SupportsPrepared();
   LeakageWorkspace ws;
-  PreparedRecord scratch;
-  auto evaluate = [&](const Record& composite) -> Result<double> {
-    if (!prepared) return engine.RecordLeakage(composite, rp, wm);
-    scratch.Assign(composite, ref);
-    return engine.RecordLeakagePrepared(scratch, ref, &ws);
+  PreparedRecord holder;
+  auto evaluate = [&](const Record& composite) {
+    return HolderRecordLeakage(composite, ref, engine, &holder, &ws);
   };
   Result<double> base = evaluate(rc);
   if (!base.ok()) return base.status();

@@ -32,27 +32,19 @@ Result<ReidentificationReport> ReidentifyRecords(
   }
   // Every reference is scored against every record: prepare each reference
   // once up front instead of once per (record, person) pair.
-  const bool prepared = engine.SupportsPrepared();
   std::vector<PreparedReference> refs;
-  if (prepared) {
-    refs.reserve(references.size());
-    for (const Record& p : references) refs.emplace_back(p, wm);
-  }
+  refs.reserve(references.size());
+  for (const Record& p : references) refs.emplace_back(p, wm);
   LeakageWorkspace ws;
-  PreparedRecord scratch;
+  PreparedRecord holder;
   ReidentificationReport report;
   report.results.reserve(db.size());
   for (std::size_t i = 0; i < db.size(); ++i) {
     Reidentification reid;
     reid.record_index = i;
     for (std::size_t person = 0; person < references.size(); ++person) {
-      Result<double> l = 0.0;
-      if (prepared) {
-        scratch.Assign(db[i], refs[person]);
-        l = engine.RecordLeakagePrepared(scratch, refs[person], &ws);
-      } else {
-        l = engine.RecordLeakage(db[i], references[person], wm);
-      }
+      Result<double> l =
+          HolderRecordLeakage(db[i], refs[person], engine, &holder, &ws);
       if (!l.ok()) return l.status();
       if (*l > reid.score) {
         reid.runner_up = reid.score;

@@ -59,7 +59,7 @@ class StreamingLeakage {
   const LeakageEngine& engine_;
   PreparedReference prepared_;   // reference_ prepared once for the stream
   LeakageWorkspace workspace_;   // reused by every Add
-  PreparedRecord scratch_;       // reusable composite view
+  PreparedRecord holder_;        // reusable composite columns
 
   std::vector<Record> records_;             // as ingested
   mutable std::vector<std::size_t> parent_; // union-find (path-halving)

@@ -11,10 +11,6 @@
 namespace infoleak::check {
 namespace {
 
-/// AutoLeakage's default dispatch threshold; the oracle's naive engine is
-/// capped here so the auto-dispatch replication can always evaluate it.
-constexpr std::size_t kAutoNaiveCutoff = 16;
-
 std::string Render(const Result<double>& v) {
   if (!v.ok()) return "<error: " + v.status().message() + ">";
   return FormatDoubleRoundTrip(*v);
@@ -27,7 +23,6 @@ Oracle::Oracle(OracleConfig config)
       naive_(kAutoNaiveCutoff),
       approx1_(1),
       approx2_(2),
-      auto_(kAutoNaiveCutoff),
       mc_(config.mc_samples) {}
 
 OracleOutcome Oracle::Evaluate(const CheckCase& c, uint64_t case_seed) const {
@@ -52,109 +47,110 @@ OracleOutcome Oracle::Evaluate(const CheckCase& c, uint64_t case_seed) const {
     }
   };
 
+  // The engines' one evaluation path, on a bank view of `r`; the string
+  // adapter must reproduce it bit for bit.
   const PreparedReference ref(c.p, c.wm);
-  const PreparedRecord pr(c.r, ref);
+  ColumnBank bank(ref);
+  bank.Append(c.r);
+  const ColumnRecordView v = bank.view(0);
   LeakageWorkspace ws;
 
   const bool uniform = c.wm.IsConstantOver(c.r, c.p);
   const bool enumerable = c.r.size() <= kAutoNaiveCutoff;
   const bool small = c.r.size() <= config_.naive_max;
 
-  // ---- Per-engine values, string and prepared paths ----------------------
-  Result<double> naive_s = Status::NotSupported("naive disabled");
-  Result<double> naive_p = naive_s;
+  // ---- Per-engine values, string adapter and column view ----------------
+  Result<double> naive_v = Status::NotSupported("naive disabled");
   if (config_.check_naive) {
-    naive_s = naive_.RecordLeakage(c.r, c.p, c.wm);
-    naive_p = naive_.RecordLeakagePrepared(pr, ref, &ws);
-    same_bits("string-vs-prepared", "naive leakage", naive_s, naive_p);
-    in_range("naive leakage", naive_p);
+    naive_v = naive_.RecordLeakageColumnar(v, ref, &ws);
+    same_bits("string-vs-columnar", "naive leakage",
+              naive_.RecordLeakage(c.r, c.p, c.wm), naive_v);
+    in_range("naive leakage", naive_v);
     ++out.comparisons;
-    if (naive_p.ok() != enumerable) {
+    if (naive_v.ok() != enumerable) {
       fail("error-contract",
            "naive must succeed exactly when |r| <= " +
                std::to_string(kAutoNaiveCutoff) + "; |r|=" +
-               std::to_string(c.r.size()) + " gave " + Render(naive_p));
+               std::to_string(c.r.size()) + " gave " + Render(naive_v));
     }
   }
 
-  Result<double> exact_s = Status::NotSupported("exact disabled");
-  Result<double> exact_p = exact_s;
+  Result<double> exact_v = Status::NotSupported("exact disabled");
   if (config_.check_exact) {
-    exact_s = exact_.RecordLeakage(c.r, c.p, c.wm);
-    exact_p = exact_.RecordLeakagePrepared(pr, ref, &ws);
-    same_bits("string-vs-prepared", "exact leakage", exact_s, exact_p);
-    in_range("exact leakage", exact_p);
+    exact_v = exact_.RecordLeakageColumnar(v, ref, &ws);
+    same_bits("string-vs-columnar", "exact leakage",
+              exact_.RecordLeakage(c.r, c.p, c.wm), exact_v);
+    in_range("exact leakage", exact_v);
     ++out.comparisons;
-    if (exact_p.ok() != uniform) {
+    if (exact_v.ok() != uniform) {
       fail("error-contract",
            std::string("exact must succeed exactly when the weights are "
                        "uniform over (r, p); uniform=") +
-               (uniform ? "true" : "false") + " gave " + Render(exact_p));
+               (uniform ? "true" : "false") + " gave " + Render(exact_v));
     }
   }
 
-  Result<double> approx1_p = Status::NotSupported("approx disabled");
-  Result<double> approx2_p = approx1_p;
+  Result<double> approx1_v = Status::NotSupported("approx disabled");
+  Result<double> approx2_v = approx1_v;
   if (config_.check_approx) {
-    approx1_p = approx1_.RecordLeakagePrepared(pr, ref, &ws);
-    approx2_p = approx2_.RecordLeakagePrepared(pr, ref, &ws);
-    same_bits("string-vs-prepared", "approx order-1 leakage",
-              approx1_.RecordLeakage(c.r, c.p, c.wm), approx1_p);
-    same_bits("string-vs-prepared", "approx order-2 leakage",
-              approx2_.RecordLeakage(c.r, c.p, c.wm), approx2_p);
-    in_range("approx order-1 leakage", approx1_p);
-    in_range("approx order-2 leakage", approx2_p);
+    approx1_v = approx1_.RecordLeakageColumnar(v, ref, &ws);
+    approx2_v = approx2_.RecordLeakageColumnar(v, ref, &ws);
+    same_bits("string-vs-columnar", "approx order-1 leakage",
+              approx1_.RecordLeakage(c.r, c.p, c.wm), approx1_v);
+    same_bits("string-vs-columnar", "approx order-2 leakage",
+              approx2_.RecordLeakage(c.r, c.p, c.wm), approx2_v);
+    in_range("approx order-1 leakage", approx1_v);
+    in_range("approx order-2 leakage", approx2_v);
     ++out.comparisons;
-    if (approx1_p.ok() && approx2_p.ok() && !(*approx1_p <= *approx2_p)) {
-      fail("approx-order", "order-1 " + Render(approx1_p) +
-                               " > order-2 " + Render(approx2_p) +
+    if (approx1_v.ok() && approx2_v.ok() && !(*approx1_v <= *approx2_v)) {
+      fail("approx-order", "order-1 " + Render(approx1_v) +
+                               " > order-2 " + Render(approx2_v) +
                                " (the variance correction is non-negative)");
     }
   }
 
-  Result<double> auto_p = Status::NotSupported("auto disabled");
+  Result<double> auto_v = Status::NotSupported("auto disabled");
   if (config_.check_auto) {
-    auto_p = auto_.RecordLeakagePrepared(pr, ref, &ws);
-    same_bits("string-vs-prepared", "auto leakage",
-              auto_.RecordLeakage(c.r, c.p, c.wm), auto_p);
-    in_range("auto leakage", auto_p);
+    auto_v = auto_.RecordLeakageColumnar(v, ref, &ws);
+    same_bits("string-vs-columnar", "auto leakage",
+              auto_.RecordLeakage(c.r, c.p, c.wm), auto_v);
+    in_range("auto leakage", auto_v);
     // Replicate the documented dispatch rule and demand bit-identity with
     // the engine it names.
     const Result<double>& expected =
-        uniform ? exact_p : (enumerable ? naive_p : approx2_p);
+        uniform ? exact_v : (enumerable ? naive_v : approx2_v);
     const char* expected_name =
         uniform ? "exact" : (enumerable ? "naive" : "approx");
     if (config_.check_exact && config_.check_naive && config_.check_approx) {
       ++out.comparisons;
-      if (expected.ok() != auto_p.ok() ||
-          (auto_p.ok() && *auto_p != *expected)) {
-        fail("auto-dispatch", std::string("auto = ") + Render(auto_p) +
+      if (expected.ok() != auto_v.ok() ||
+          (auto_v.ok() && *auto_v != *expected)) {
+        fail("auto-dispatch", std::string("auto = ") + Render(auto_v) +
                                   " but its rule picks " + expected_name +
                                   " = " + Render(expected));
       }
     }
   }
 
-  // Expected recall is engine-independent and exact; check the two API
-  // paths against each other and the range.
+  // Expected recall is engine-independent and exact; check the adapter
+  // against the view and the range.
   {
-    const Result<double> recall_s = naive_.ExpectedRecall(c.r, c.p, c.wm);
-    const Result<double> recall_p =
-        naive_.ExpectedRecallPrepared(pr, ref, &ws);
-    same_bits("string-vs-prepared", "expected recall", recall_s, recall_p);
-    in_range("expected recall", recall_p);
+    const Result<double> recall_v = naive_.ExpectedRecallColumnar(v, ref, &ws);
+    same_bits("string-vs-columnar", "expected recall",
+              naive_.ExpectedRecall(c.r, c.p, c.wm), recall_v);
+    in_range("expected recall", recall_v);
   }
 
   // Expected precision: same cross-checks as leakage, cheaper tolerance
   // set (no Taylor bound is derived for it).
   if (config_.check_naive && config_.check_exact) {
     const Result<double> prec_naive =
-        naive_.ExpectedPrecisionPrepared(pr, ref, &ws);
+        naive_.ExpectedPrecisionColumnar(v, ref, &ws);
     const Result<double> prec_exact =
-        exact_.ExpectedPrecisionPrepared(pr, ref, &ws);
-    same_bits("string-vs-prepared", "naive expected precision",
+        exact_.ExpectedPrecisionColumnar(v, ref, &ws);
+    same_bits("string-vs-columnar", "naive expected precision",
               naive_.ExpectedPrecision(c.r, c.p, c.wm), prec_naive);
-    same_bits("string-vs-prepared", "exact expected precision",
+    same_bits("string-vs-columnar", "exact expected precision",
               exact_.ExpectedPrecision(c.r, c.p, c.wm), prec_exact);
     in_range("naive expected precision", prec_naive);
     in_range("exact expected precision", prec_exact);
@@ -171,25 +167,25 @@ OracleOutcome Oracle::Evaluate(const CheckCase& c, uint64_t case_seed) const {
 
   // ---- Truth and the analytic tolerances ---------------------------------
   std::optional<double> truth;
-  if (small && naive_p.ok()) {
-    truth = *naive_p;
-  } else if (uniform && exact_p.ok()) {
-    truth = *exact_p;
+  if (small && naive_v.ok()) {
+    truth = *naive_v;
+  } else if (uniform && exact_v.ok()) {
+    truth = *exact_v;
   }
 
-  if (uniform && small && naive_p.ok() && exact_p.ok()) {
+  if (uniform && small && naive_v.ok() && exact_v.ok()) {
     ++out.comparisons;
-    if (std::abs(*naive_p - *exact_p) > config_.exact_tol) {
+    if (std::abs(*naive_v - *exact_v) > config_.exact_tol) {
       fail("exact-vs-naive",
-           "naive " + Render(naive_p) + " vs exact " + Render(exact_p) +
+           "naive " + Render(naive_v) + " vs exact " + Render(exact_v) +
                " differ by " +
-               FormatDoubleRoundTrip(std::abs(*naive_p - *exact_p)) +
+               FormatDoubleRoundTrip(std::abs(*naive_v - *exact_v)) +
                " > " + FormatDoubleRoundTrip(config_.exact_tol));
     }
   }
 
   if (config_.check_approx && truth.has_value()) {
-    const Result<double>* approxes[] = {&approx1_p, &approx2_p};
+    const Result<double>* approxes[] = {&approx1_v, &approx2_v};
     for (int order = 1; order <= 2; ++order) {
       const Result<double>& a = *approxes[order - 1];
       if (!a.ok()) continue;
@@ -209,6 +205,17 @@ OracleOutcome Oracle::Evaluate(const CheckCase& c, uint64_t case_seed) const {
 
   if (config_.check_bounds) {
     const LeakageBounds lb = BoundRecordLeakage(c.r, c.p, c.wm);
+    // The string form is an independent implementation, not an adapter:
+    // the bounds kernel over the view must reproduce it bit for bit.
+    const LeakageBounds lv = BoundRecordLeakageColumnar(bank, 0, &ws);
+    ++out.comparisons;
+    if (lb.lower != lv.lower || lb.upper != lv.upper) {
+      fail("string-vs-columnar",
+           "bounds: string [" + FormatDoubleRoundTrip(lb.lower) + ", " +
+               FormatDoubleRoundTrip(lb.upper) + "] vs columnar [" +
+               FormatDoubleRoundTrip(lv.lower) + ", " +
+               FormatDoubleRoundTrip(lv.upper) + "]");
+    }
     ++out.comparisons;
     if (!(lb.lower >= 0.0 && lb.lower <= lb.upper && lb.upper <= 1.0)) {
       fail("bounds", "malformed bracket [" + FormatDoubleRoundTrip(lb.lower) +
@@ -222,15 +229,15 @@ OracleOutcome Oracle::Evaluate(const CheckCase& c, uint64_t case_seed) const {
                            " escapes [" + FormatDoubleRoundTrip(lb.lower) +
                            ", " + FormatDoubleRoundTrip(lb.upper) + "]");
       }
-    } else if (config_.check_approx && approx2_p.ok()) {
+    } else if (config_.check_approx && approx2_v.ok()) {
       // No independent truth (large, non-uniform): the Taylor value must
       // still land inside the bracket widened by its own error bound.
       const double bound = ApproxLeakageErrorBound(c.r, c.p, c.wm, 2);
       ++out.comparisons;
-      if (*approx2_p < lb.lower - bound - config_.slack ||
-          *approx2_p > lb.upper + bound + config_.slack) {
+      if (*approx2_v < lb.lower - bound - config_.slack ||
+          *approx2_v > lb.upper + bound + config_.slack) {
         fail("bounds",
-             "approx " + Render(approx2_p) + " escapes the bound-widened "
+             "approx " + Render(approx2_v) + " escapes the bound-widened "
                  "bracket [" + FormatDoubleRoundTrip(lb.lower) + ", " +
                  FormatDoubleRoundTrip(lb.upper) + "] +/- " +
                  FormatDoubleRoundTrip(bound));
@@ -281,95 +288,48 @@ OracleOutcome Oracle::Evaluate(const CheckCase& c, uint64_t case_seed) const {
     }
   }
 
-  if (config_.check_batch && config_.check_auto && auto_p.ok()) {
+  if (config_.check_batch && config_.check_auto && auto_v.ok()) {
     Database db;
     db.Add(c.r);
     const Record* rec_ptr = &db[0];
     const Result<std::vector<double>> batch =
         BatchLeakage(std::span<const Record* const>(&rec_ptr, 1), ref, auto_);
     ++out.comparisons;
-    if (!batch.ok() || batch->size() != 1 || (*batch)[0] != *auto_p) {
+    if (!batch.ok() || batch->size() != 1 || (*batch)[0] != *auto_v) {
       fail("batch-vs-single",
            "BatchLeakage gave " +
                (batch.ok() && batch->size() == 1
                     ? FormatDoubleRoundTrip((*batch)[0])
                     : std::string("<error>")) +
-               " vs single " + Render(auto_p));
+               " vs single " + Render(auto_v));
     }
     std::ptrdiff_t argmax = -2;
     const Result<double> set = SetLeakageArgMax(db, ref, auto_, &argmax);
     ++out.comparisons;
-    if (!set.ok() || *set != *auto_p || argmax != 0) {
+    if (!set.ok() || *set != *auto_v || argmax != 0) {
       fail("batch-vs-single",
            "SetLeakageArgMax gave " + Render(set) + " (argmax " +
-               std::to_string(argmax) + ") vs single " + Render(auto_p));
+               std::to_string(argmax) + ") vs single " + Render(auto_v));
     }
-  }
-
-  // ---- Columnar path: bit-identical to prepared, engine by engine --------
-  if (config_.check_columnar) {
-    ColumnBank bank(ref);
-    bank.Append(c.r);
-    const ColumnRecordView v = bank.view(0);
-    if (config_.check_naive) {
-      same_bits("columnar-vs-prepared", "naive leakage",
-                naive_.RecordLeakageColumnar(v, ref, &ws), naive_p);
-      same_bits("columnar-vs-prepared", "naive expected precision",
-                naive_.ExpectedPrecisionColumnar(v, ref, &ws),
-                naive_.ExpectedPrecisionPrepared(pr, ref, &ws));
+    argmax = -2;
+    const Result<double> scan = SetLeakageColumnar(bank, auto_, &argmax);
+    ++out.comparisons;
+    if (!scan.ok() || *scan != *auto_v || argmax != 0) {
+      fail("batch-vs-single",
+           "SetLeakageColumnar gave " + Render(scan) + " (argmax " +
+               std::to_string(argmax) + ") vs single " + Render(auto_v));
     }
-    if (config_.check_exact) {
-      same_bits("columnar-vs-prepared", "exact leakage",
-                exact_.RecordLeakageColumnar(v, ref, &ws), exact_p);
-      same_bits("columnar-vs-prepared", "exact expected precision",
-                exact_.ExpectedPrecisionColumnar(v, ref, &ws),
-                exact_.ExpectedPrecisionPrepared(pr, ref, &ws));
-    }
-    if (config_.check_approx) {
-      same_bits("columnar-vs-prepared", "approx order-1 leakage",
-                approx1_.RecordLeakageColumnar(v, ref, &ws), approx1_p);
-      same_bits("columnar-vs-prepared", "approx order-2 leakage",
-                approx2_.RecordLeakageColumnar(v, ref, &ws), approx2_p);
-    }
-    if (config_.check_auto) {
-      same_bits("columnar-vs-prepared", "auto leakage",
-                auto_.RecordLeakageColumnar(v, ref, &ws), auto_p);
-    }
-    same_bits("columnar-vs-prepared", "expected recall",
-              naive_.ExpectedRecallColumnar(v, ref, &ws),
-              naive_.ExpectedRecallPrepared(pr, ref, &ws));
-    if (config_.check_bounds) {
-      const LeakageBounds a = BoundRecordLeakage(c.r, c.p, c.wm);
-      const LeakageBounds b = BoundRecordLeakageColumnar(bank, 0, &ws);
-      ++out.comparisons;
-      if (a.lower != b.lower || a.upper != b.upper) {
-        fail("columnar-vs-prepared",
-             "bounds: string [" + FormatDoubleRoundTrip(a.lower) + ", " +
-                 FormatDoubleRoundTrip(a.upper) + "] vs columnar [" +
-                 FormatDoubleRoundTrip(b.lower) + ", " +
-                 FormatDoubleRoundTrip(b.upper) + "]");
-      }
-    }
-    if (config_.check_auto && auto_p.ok()) {
-      std::ptrdiff_t argmax = -2;
-      const Result<double> set = SetLeakageColumnar(bank, auto_, &argmax);
-      ++out.comparisons;
-      if (!set.ok() || *set != *auto_p || argmax != 0) {
-        fail("columnar-vs-prepared",
-             "SetLeakageColumnar gave " + Render(set) + " (argmax " +
-                 std::to_string(argmax) + ") vs single " + Render(auto_p));
-      }
-      const Result<std::vector<double>> batch =
-          BatchLeakageColumnar(bank, auto_);
-      ++out.comparisons;
-      if (!batch.ok() || batch->size() != 1 || (*batch)[0] != *auto_p) {
-        fail("columnar-vs-prepared",
-             "BatchLeakageColumnar gave " +
-                 (batch.ok() && batch->size() == 1
-                      ? FormatDoubleRoundTrip((*batch)[0])
-                      : std::string("<error>")) +
-                 " vs single " + Render(auto_p));
-      }
+    const Result<std::vector<double>> bank_batch =
+        BatchLeakageColumnar(bank, auto_);
+    ++out.comparisons;
+    if (!bank_batch.ok() || bank_batch->size() != 1 ||
+        (*bank_batch)[0] != *auto_v) {
+      fail("batch-vs-single",
+           "BatchLeakageColumnar gave " +
+               (bank_batch.ok() && bank_batch->size() == 1
+                    ? FormatDoubleRoundTrip((*bank_batch)[0])
+                    : std::string("<error>")) +
+               " vs single " + Render(auto_v));
     }
   }
 
@@ -414,13 +374,12 @@ void Oracle::EvaluateMeasures(const CheckCase& c, const MeasureEngines& engines,
   };
 
   const PreparedReference ref(c.p, c.wm);
-  const PreparedRecord pr(c.r, ref);
   LeakageWorkspace ws;
   ColumnBank bank(ref);
   bank.Append(c.r);
   const ColumnRecordView v = bank.view(0);
 
-  // ---- measure-path: every surface of every measure agrees bit for bit --
+  // ---- measure-path: string adapter and column view agree bit for bit ----
   struct Row {
     const char* what;
     const LeakageEngine* e;
@@ -433,9 +392,9 @@ void Oracle::EvaluateMeasures(const CheckCase& c, const MeasureEngines& engines,
       {"under leakage", under_e, do_ou, false},
       {"over leakage", over_e, do_ou, false},
   };
-  // String-path values, indexed like `rows`; the monotone and truth checks
-  // below reuse them (string == prepared == columnar once measure-path
-  // passed, so any one surface is "the" value).
+  // Column-view values, indexed like `rows`; the monotone and truth checks
+  // below reuse them (string == columnar once measure-path passed, so
+  // either surface is "the" value).
   Result<double> vals[4] = {
       Status::NotSupported("measure disabled"),
       Status::NotSupported("measure disabled"),
@@ -445,28 +404,17 @@ void Oracle::EvaluateMeasures(const CheckCase& c, const MeasureEngines& engines,
   for (std::size_t i = 0; i < 4; ++i) {
     const Row& row = rows[i];
     if (!row.on) continue;
-    const Result<double> s = row.e->RecordLeakage(c.r, c.p, c.wm);
-    const Result<double> p = row.e->RecordLeakagePrepared(pr, ref, &ws);
-    same_bits("measure-path", std::string(row.what) + " string-vs-prepared",
-              s, p);
-    if (config_.check_columnar) {
-      same_bits("measure-path",
-                std::string(row.what) + " columnar-vs-prepared",
-                row.e->RecordLeakageColumnar(v, ref, &ws), p);
-    }
-    in_range(row.what, p);
-    vals[i] = s;
+    const Result<double> col = row.e->RecordLeakageColumnar(v, ref, &ws);
+    same_bits("measure-path", std::string(row.what) + " string-vs-columnar",
+              row.e->RecordLeakage(c.r, c.p, c.wm), col);
+    in_range(row.what, col);
+    vals[i] = col;
     if (row.has_precision) {
       const std::string what = std::string(rows[i].e->name()) + " precision";
-      const Result<double> prec_p =
-          row.e->ExpectedPrecisionPrepared(pr, ref, &ws);
-      same_bits("measure-path", what + " string-vs-prepared",
-                row.e->ExpectedPrecision(c.r, c.p, c.wm), prec_p);
-      if (config_.check_columnar) {
-        same_bits("measure-path", what + " columnar-vs-prepared",
-                  row.e->ExpectedPrecisionColumnar(v, ref, &ws), prec_p);
-      }
-      in_range(what, prec_p);
+      const Result<double> prec = row.e->ExpectedPrecisionColumnar(v, ref, &ws);
+      same_bits("measure-path", what + " string-vs-columnar",
+                row.e->ExpectedPrecision(c.r, c.p, c.wm), prec);
+      in_range(what, prec);
     } else {
       // under/over bound expected F1 only; a precision value would be
       // unsound, so the engines must refuse rather than answer.
@@ -492,10 +440,10 @@ void Oracle::EvaluateMeasures(const CheckCase& c, const MeasureEngines& engines,
   // enumerable (any weights), else Algorithm 1 when uniform.
   std::optional<double> truth;
   if (small) {
-    const Result<double> n = naive_.RecordLeakagePrepared(pr, ref, &ws);
+    const Result<double> n = naive_.RecordLeakageColumnar(v, ref, &ws);
     if (n.ok()) truth = *n;
   } else if (uniform) {
-    const Result<double> e = exact_.RecordLeakagePrepared(pr, ref, &ws);
+    const Result<double> e = exact_.RecordLeakageColumnar(v, ref, &ws);
     if (e.ok()) truth = *e;
   }
 

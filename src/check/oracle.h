@@ -38,7 +38,6 @@ struct OracleConfig {
   bool check_bounds = true;
   bool check_batch = true;
   bool check_auto = true;
-  bool check_columnar = true;
   // The measure family (core/measure_family.h): pointwise maximal,
   // guesswork, and the under/over probabilistic bounds as engines.
   bool check_pml = true;
@@ -49,7 +48,7 @@ struct OracleConfig {
 /// One confirmed disagreement: which property broke, the values involved,
 /// and the (possibly shrunk) case that triggers it.
 struct Finding {
-  std::string kind;    ///< e.g. "approx-bound", "string-vs-prepared"
+  std::string kind;    ///< e.g. "approx-bound", "string-vs-columnar"
   std::string detail;  ///< values, difference, and the violated tolerance
   CheckCase c;
 };
@@ -60,11 +59,17 @@ struct OracleOutcome {
 };
 
 /// \brief The offline differential oracle: evaluates one case through
-/// every enabled engine and path and cross-checks the results.
+/// every enabled engine and cross-checks the results. Each engine has one
+/// evaluation path (the column view); the oracle runs it on a one-record
+/// `ColumnBank` and holds the string adapter to it.
 ///
 /// Properties checked (each a `Finding::kind`):
 ///  * `range`              — every successful value lies in [0, 1]
-///  * `string-vs-prepared` — both API surfaces bit-identical, per engine
+///  * `string-vs-columnar` — the string adapter reproduces the bank view
+///                           bit for bit, per engine (leakage, precision,
+///                           recall), and the view-based bounds kernel
+///                           reproduces the independent string
+///                           BoundRecordLeakage
 ///  * `error-contract`     — naive fails iff |r| exceeds its cap; exact
 ///                           fails iff the weights are non-uniform
 ///  * `exact-vs-naive`     — |exact − naive| ≤ exact_tol (uniform, small)
@@ -74,13 +79,11 @@ struct OracleOutcome {
 ///                           Taylor value stays in the bound-widened bracket
 ///  * `monte-carlo-ci`     — |MC mean − truth| ≤ mc_sigmas·SE + slack
 ///  * `monte-carlo-repro`  — same per-case seed, bit-identical estimate
-///  * `batch-vs-single`    — BatchLeakage and SetLeakageArgMax over a
-///                           one-record database reproduce the single call
+///  * `batch-vs-single`    — BatchLeakage, SetLeakageArgMax,
+///                           SetLeakageColumnar and BatchLeakageColumnar
+///                           over a one-record database reproduce the
+///                           single evaluation
 ///  * `auto-dispatch`      — AutoLeakage equals the engine its rule picks
-///  * `columnar-vs-prepared` — the structure-of-arrays path (ColumnBank +
-///                           array kernels) reproduces every prepared-path
-///                           value bit for bit, including leakage bounds
-///                           and the set/batch columnar scans
 ///
 /// "Truth" is the naive oracle when the record is enumerable (arbitrary
 /// weights), else Algorithm 1 when the weights are uniform; large
@@ -90,7 +93,7 @@ struct OracleOutcome {
 /// The measure family (core/measure_family.h) gets its own property set,
 /// run by `EvaluateMeasures` (called from Evaluate with the default
 /// engines):
-///  * `measure-path`       — string/prepared/columnar bit-identity and
+///  * `measure-path`       — string-adapter/column-view bit-identity and
 ///                           [0, 1] range, per measure engine
 ///  * `measure-truth`      — pml equals an independent brute-force world
 ///                           maximum (small records); guesswork equals an
@@ -138,7 +141,7 @@ class Oracle {
 
  private:
   OracleConfig config_;
-  NaiveLeakage naive_;  // cap 16 = AutoLeakage's dispatch range
+  NaiveLeakage naive_;  // capped at kAutoNaiveCutoff, AutoLeakage's naive range
   ExactLeakage exact_;
   ApproxLeakage approx1_;
   ApproxLeakage approx2_;

@@ -392,10 +392,9 @@ void UpdateDerivedGauges() {
   obs::RegisterBuildInfo(kern::Active().name);
   auto& reg = obs::MetricsRegistry::Global();
   constexpr std::string_view kPathHelp =
-      "Record evaluations by API path: prepared fast path vs string "
-      "adapter/fallback";
-  const uint64_t prepared =
-      reg.GetCounter("infoleak_eval_path_total", {{"path", "prepared"}},
+      "Record evaluations by API path: string adapter vs column view";
+  const uint64_t columnar =
+      reg.GetCounter("infoleak_eval_path_total", {{"path", "columnar"}},
                      kPathHelp)
           .Value();
   const uint64_t strings =
@@ -404,10 +403,11 @@ void UpdateDerivedGauges() {
           .Value();
   obs::Gauge& ratio = reg.GetGauge(
       "infoleak_prepared_path_hit_ratio", {},
-      "Fraction of record evaluations served by the prepared fast path");
-  const uint64_t total = prepared + strings;
+      "Fraction of record evaluations made against a prepared reference "
+      "(column views) rather than through the string adapter");
+  const uint64_t total = columnar + strings;
   ratio.Set(total == 0 ? 0.0
-                       : static_cast<double>(prepared) /
+                       : static_cast<double>(columnar) /
                              static_cast<double>(total));
 }
 
@@ -635,8 +635,8 @@ Status RunLeakage(const FlagSet& flags, std::string* out) {
   const LeakageEngine& engine = *choice->engine;
   const bool show_bounds = flags.Has("bounds");
   // Prepare the reference once and share it between the per-record report
-  // and the set-leakage pass so the whole command stays on the prepared
-  // fast path (visible as infoleak_eval_path_total{path="prepared"}).
+  // and the set-leakage pass, so no record goes through the string adapter
+  // (visible as infoleak_eval_path_total{path="columnar"}).
   const PreparedReference prepared(*reference, *weights);
   std::vector<const Record*> record_ptrs;
   record_ptrs.reserve(analyzed.size());

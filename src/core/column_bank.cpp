@@ -35,35 +35,13 @@ ColumnBank ColumnBank::FromDatabase(const Database& db,
 }
 
 void ColumnBank::Append(const Record& r) {
-  const Symbols& syms = ref_->symbols();
-  // Mirrors PreparedRecord::Assign attribute for attribute (canonical
-  // order, same weight resolution, same uniform-weight bookkeeping), then
-  // freezes the match position the record-at-a-time path would re-derive
-  // by hashing on every scan.
-  bool uniform = true;
-  double common = 0.0;
-  const std::size_t begin = conf_.size();
-  for (const auto& a : r) {
-    const uint32_t label = syms.labels.Find(a.label);
-    const uint32_t value = syms.values.Find(a.value);
-    const double weight = label != SymbolTable::kNoSymbol
-                              ? ref_->LabelWeight(label)
-                              : ref_->weight_model().Weight(a.label);
-    if (conf_.size() == begin) {
-      common = weight;
-    } else if (weight != common) {
-      uniform = false;
-    }
-    conf_.push_back(a.confidence);
-    weight_.push_back(weight);
-    label_.push_back(label);
-    match_pos_.push_back(ref_->MatchPosition(label, value));
-  }
-  const std::size_t len = conf_.size() - begin;
+  const RecordWeightSummary summary = AppendRecordColumns(r, *ref_, &cols_);
+  const std::size_t len =
+      cols_.conf.size() - static_cast<std::size_t>(offset_.back());
   if (len > max_record_) max_record_ = len;
-  offset_.push_back(static_cast<uint64_t>(conf_.size()));
-  uniform_.push_back(uniform ? 1 : 0);
-  common_weight_.push_back(common);
+  offset_.push_back(static_cast<uint64_t>(cols_.conf.size()));
+  uniform_.push_back(summary.uniform ? 1 : 0);
+  common_weight_.push_back(summary.common);
   ++records_;
   BankAppendCounter().Inc();
 }

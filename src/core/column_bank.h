@@ -8,20 +8,6 @@
 
 namespace infoleak {
 
-/// \brief Structure-of-arrays view of one record inside a `ColumnBank`:
-/// raw pointers into the bank's contiguous columns plus the per-record
-/// scalars the engines need. Cheap to construct (no ownership); valid until
-/// the bank is appended to or destroyed.
-struct ColumnRecordView {
-  const double* conf = nullptr;        ///< believed confidence per attribute
-  const double* weight = nullptr;      ///< resolved label weight per attribute
-  const uint32_t* label = nullptr;     ///< interned label id (kNoSymbol if unknown to p)
-  const uint32_t* match_pos = nullptr; ///< position in p, or PreparedReference::kNoMatch
-  std::size_t size = 0;                ///< attribute count |r|
-  bool uniform_weight = true;          ///< one weight across the record's labels
-  double common_weight = 0.0;          ///< that weight (0 when empty)
-};
-
 /// \brief The data-oriented evaluation plane: a batch of records prepared
 /// against one `PreparedReference` and laid out as contiguous per-column
 /// arrays over the reference's interned symbol table — confidence, weight,
@@ -29,19 +15,20 @@ struct ColumnRecordView {
 /// attribute in `p`, plus record offset/length and per-record weight
 /// summaries.
 ///
-/// Where `PreparedRecord::Assign` re-resolves two string hashes and one
-/// pair lookup per attribute per scan, a bank resolves them exactly once at
-/// append time; a set-leakage scan over the bank touches nothing but flat
-/// arrays. Banks are incrementally appendable, so a serving layer can keep
-/// one bank per cached reference and extend it as the store grows — the
-/// steady state evaluates thousands of records with zero hashing and zero
-/// allocation.
+/// Where a record-at-a-time scan (`PreparedRecord::Assign` per record)
+/// re-resolves two string hashes and one pair lookup per attribute per
+/// scan, a bank resolves them exactly once at append time; a set-leakage
+/// scan over the bank touches nothing but flat arrays. Banks are
+/// incrementally appendable, so a serving layer can keep one bank per
+/// cached reference and extend it as the store grows — the steady state
+/// evaluates thousands of records with zero hashing and zero allocation.
 ///
-/// The per-record column order is the record's canonical attribute order
-/// (the same order the string and prepared paths iterate), so every
-/// evaluation over a bank is bit-identical to the record-at-a-time paths —
-/// pinned by columnar_equivalence_test and the selfcheck oracle's
-/// `columnar-vs-prepared` property.
+/// Appends resolve through `AppendRecordColumns`, the same rule the
+/// one-record `PreparedRecord` holder uses, so a bank view and a holder
+/// view of the same `Record` are identical column for column and every
+/// evaluation over either is bit-identical — pinned by
+/// columnar_equivalence_test and the selfcheck oracle's
+/// `string-vs-columnar` property.
 ///
 /// Lifetime: the bank borrows `ref`, which must outlive it. Thread safety:
 /// concurrent readers are safe; appends need external synchronization
@@ -60,8 +47,7 @@ class ColumnBank {
   static ColumnBank FromDatabase(const Database& db,
                                  const PreparedReference& ref);
 
-  /// Appends one record's columns (the bank analogue of
-  /// PreparedRecord::Assign, plus the match-position precomputation).
+  /// Appends one record's columns (through AppendRecordColumns).
   void Append(const Record& r);
 
   /// Appends the records of `db` this bank does not cover yet — records
@@ -74,7 +60,7 @@ class ColumnBank {
   bool empty() const { return records_ == 0; }
 
   /// Total attribute cells across all records.
-  std::size_t attributes() const { return conf_.size(); }
+  std::size_t attributes() const { return cols_.conf.size(); }
 
   /// Largest record length seen — what a workspace should reserve for.
   std::size_t max_record_size() const { return max_record_; }
@@ -86,10 +72,10 @@ class ColumnBank {
     const std::size_t begin = static_cast<std::size_t>(offset_[i]);
     const std::size_t end = static_cast<std::size_t>(offset_[i + 1]);
     ColumnRecordView v;
-    v.conf = conf_.data() + begin;
-    v.weight = weight_.data() + begin;
-    v.label = label_.data() + begin;
-    v.match_pos = match_pos_.data() + begin;
+    v.conf = cols_.conf.data() + begin;
+    v.weight = cols_.weight.data() + begin;
+    v.label = cols_.label.data() + begin;
+    v.match_pos = cols_.match_pos.data() + begin;
     v.size = end - begin;
     v.uniform_weight = uniform_[i] != 0;
     v.common_weight = common_weight_[i];
@@ -98,10 +84,7 @@ class ColumnBank {
 
  private:
   const PreparedReference* ref_;  // borrowed; must outlive the bank
-  std::vector<double> conf_;
-  std::vector<double> weight_;
-  std::vector<uint32_t> label_;
-  std::vector<uint32_t> match_pos_;
+  RecordColumns cols_;
   std::vector<uint64_t> offset_;  // records_ + 1 entries; offset_[0] == 0
   std::vector<uint8_t> uniform_;
   std::vector<double> common_weight_;
@@ -109,13 +92,14 @@ class ColumnBank {
   std::size_t max_record_ = 0;
 };
 
-/// Columnar analogue of FillMatches: scatters a record view's precomputed
-/// match positions into the workspace's per-reference-position columns.
-/// O(|r|), no hashing.
+/// Scatters a record view's precomputed match positions into the
+/// workspace's per-reference-position columns. O(|r|), no hashing.
 void FillMatchColumns(const ColumnRecordView& v, std::size_t reference_size,
                       LeakageWorkspace* ws);
 
-/// Columnar analogue of UniformWeightOver (Algorithm 1's precondition).
+/// True iff one common weight covers every label of `r` and `p` — the
+/// view analogue of WeightModel::IsConstantOver (Algorithm 1's
+/// precondition).
 bool UniformWeightOver(const ColumnRecordView& r, const PreparedReference& p);
 
 }  // namespace infoleak

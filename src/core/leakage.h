@@ -31,15 +31,15 @@ namespace infoleak {
 ///  * ApproxLeakage — second-order Taylor expansion; O(|p|·|r|); arbitrary
 ///                    weights; highly accurate in practice (Table 5).
 ///
-/// Each engine exposes two equivalent surfaces:
-///  * the string API below, taking `Record`s and a `WeightModel` — for the
-///    core engines this is a thin adapter that prepares its arguments and
-///    forwards; and
-///  * the prepared API (`*Prepared` methods), taking interned views from
-///    `core/prepared.h` plus a caller-owned `LeakageWorkspace`. This is the
-///    hot path: the reference is prepared once, records are prepared into a
-///    reusable buffer, and the steady state does no allocation and no
-///    string hashing. Both paths produce bit-identical results.
+/// Each engine implements one evaluation path: the column-view methods
+/// (`*Columnar`), taking a `ColumnRecordView` of `r` resolved against a
+/// `PreparedReference` plus a caller-owned `LeakageWorkspace`. The view
+/// comes from a `ColumnBank` (set scans over a store) or from the
+/// one-record `PreparedRecord` holder (record-at-a-time callers). The
+/// string API below — `Record`s and a `WeightModel` in, a double out — is a
+/// non-virtual adapter in this base class: it prepares `p`, loads `r` into
+/// a holder and calls the view method, so it is bit-identical to a bank
+/// scan of the same record by construction.
 ///
 /// Every successful evaluation returns a value in [0, 1]: the measures are
 /// expectations of statistics bounded by 1, so finite totals are clamped
@@ -57,82 +57,52 @@ class LeakageEngine {
   /// Engine name for benchmark tables ("naive", "exact", "approx", "auto").
   virtual std::string_view name() const = 0;
 
-  // ----- String API (Record in, double out) --------------------------------
+  // ----- Column-view evaluation (the engine's one implementation) ----------
+  //
+  // `r` must be resolved against `p` (a `ColumnBank` built on `p`, or a
+  // `PreparedRecord` assigned against it). The views stream contiguous
+  // confidence/weight/match-position columns through the array kernels
+  // (core/kernels.h) — no string hashing, no per-record match lookups, no
+  // allocation in the steady state.
 
   /// L(r, p) = E[F1(r̄, p)] over the possible worlds r̄ of r.
-  virtual Result<double> RecordLeakage(const Record& r, const Record& p,
-                                       const WeightModel& wm) const = 0;
-
-  /// E[Pr(r̄, p)]: Definition 2.1 with F1 replaced by precision.
-  virtual Result<double> ExpectedPrecision(const Record& r, const Record& p,
-                                           const WeightModel& wm) const = 0;
-
-  /// E[Re(r̄, p)]: Definition 2.1 with F1 replaced by recall. Recall is
-  /// linear in the attribute indicators, so every engine computes it
-  /// exactly: Σ_{b∈p} p(b,r)·w_b / Σ_{b∈p} w_b.
-  virtual Result<double> ExpectedRecall(const Record& r, const Record& p,
-                                        const WeightModel& wm) const;
-
-  // ----- Prepared API (interned views + workspace) -------------------------
-
-  /// True when the engine implements the prepared fast path. SetLeakage and
-  /// friends fall back to the string API for engines that don't (e.g.
-  /// sampling engines defined outside this header).
-  virtual bool SupportsPrepared() const { return false; }
-
-  /// As RecordLeakage, on prepared views. `r` must have been prepared
-  /// against `p`. Default: NotSupported.
-  virtual Result<double> RecordLeakagePrepared(const PreparedRecord& r,
-                                               const PreparedReference& p,
-                                               LeakageWorkspace* ws) const;
-
-  /// As ExpectedPrecision, on prepared views. Default: NotSupported.
-  virtual Result<double> ExpectedPrecisionPrepared(
-      const PreparedRecord& r, const PreparedReference& p,
-      LeakageWorkspace* ws) const;
-
-  /// As ExpectedRecall, on prepared views; exact for every engine.
-  virtual Result<double> ExpectedRecallPrepared(const PreparedRecord& r,
-                                                const PreparedReference& p,
-                                                LeakageWorkspace* ws) const;
-
-  // ----- Columnar API (ColumnBank views + workspace) -----------------------
-  //
-  // The structure-of-arrays fast path: records live in a `ColumnBank`
-  // prepared once against the reference, so an evaluation streams
-  // contiguous confidence/weight/match-position columns through the array
-  // kernels (core/kernels.h) — no string hashing, no per-record match
-  // lookups, no allocation in the steady state. Bit-identical to the string
-  // and prepared paths (pinned by columnar_equivalence_test and the
-  // selfcheck oracle).
-
-  /// True when the engine implements the columnar fast path.
-  /// SetLeakageColumnar refuses engines that don't.
-  virtual bool SupportsColumnar() const { return false; }
-
-  /// As RecordLeakage, on a bank view. `r` must come from a bank built
-  /// against `p`. Default: NotSupported.
   virtual Result<double> RecordLeakageColumnar(const ColumnRecordView& r,
                                                const PreparedReference& p,
-                                               LeakageWorkspace* ws) const;
+                                               LeakageWorkspace* ws) const = 0;
 
-  /// As ExpectedPrecision, on a bank view. Default: NotSupported.
+  /// E[Pr(r̄, p)]: Definition 2.1 with F1 replaced by precision. Default:
+  /// NotSupported (for measures that have no precision analogue).
   virtual Result<double> ExpectedPrecisionColumnar(const ColumnRecordView& r,
                                                    const PreparedReference& p,
                                                    LeakageWorkspace* ws) const;
 
-  /// As ExpectedRecall, on a bank view; exact for every engine.
+  /// E[Re(r̄, p)]: Definition 2.1 with F1 replaced by recall. Recall is
+  /// linear in the attribute indicators, so every engine computes it
+  /// exactly: Σ_{b∈p} p(b,r)·w_b / Σ_{b∈p} w_b.
   Result<double> ExpectedRecallColumnar(const ColumnRecordView& r,
                                         const PreparedReference& p,
                                         LeakageWorkspace* ws) const;
 
- protected:
-  /// Adapter bodies for the string API of prepared-capable engines:
-  /// prepare (r, p, wm), then forward to the `*Prepared` virtuals.
-  Result<double> AdaptRecordLeakage(const Record& r, const Record& p,
-                                    const WeightModel& wm) const;
-  Result<double> AdaptExpectedPrecision(const Record& r, const Record& p,
-                                        const WeightModel& wm) const;
+  // ----- String adapters (Record in, double out) ---------------------------
+
+  /// As RecordLeakageColumnar, on strings.
+  Result<double> RecordLeakage(const Record& r, const Record& p,
+                               const WeightModel& wm) const;
+
+  /// As ExpectedPrecisionColumnar, on strings.
+  Result<double> ExpectedPrecision(const Record& r, const Record& p,
+                                   const WeightModel& wm) const;
+
+  /// As ExpectedRecallColumnar, on strings.
+  Result<double> ExpectedRecall(const Record& r, const Record& p,
+                                const WeightModel& wm) const;
+
+ private:
+  using ViewMethod = Result<double> (LeakageEngine::*)(
+      const ColumnRecordView&, const PreparedReference&,
+      LeakageWorkspace*) const;
+  Result<double> AdaptString(ViewMethod method, const Record& r,
+                             const Record& p, const WeightModel& wm) const;
 };
 
 /// \brief Exponential-time oracle: enumerates possible worlds (§5's naive
@@ -143,20 +113,6 @@ class NaiveLeakage : public LeakageEngine {
       : max_attributes_(max_attributes) {}
 
   std::string_view name() const override { return "naive"; }
-  Result<double> RecordLeakage(const Record& r, const Record& p,
-                               const WeightModel& wm) const override;
-  Result<double> ExpectedPrecision(const Record& r, const Record& p,
-                                   const WeightModel& wm) const override;
-
-  bool SupportsPrepared() const override { return true; }
-  Result<double> RecordLeakagePrepared(const PreparedRecord& r,
-                                       const PreparedReference& p,
-                                       LeakageWorkspace* ws) const override;
-  Result<double> ExpectedPrecisionPrepared(const PreparedRecord& r,
-                                           const PreparedReference& p,
-                                           LeakageWorkspace* ws) const override;
-
-  bool SupportsColumnar() const override { return true; }
   Result<double> RecordLeakageColumnar(const ColumnRecordView& r,
                                        const PreparedReference& p,
                                        LeakageWorkspace* ws) const override;
@@ -175,20 +131,6 @@ class NaiveLeakage : public LeakageEngine {
 class ExactLeakage : public LeakageEngine {
  public:
   std::string_view name() const override { return "exact"; }
-  Result<double> RecordLeakage(const Record& r, const Record& p,
-                               const WeightModel& wm) const override;
-  Result<double> ExpectedPrecision(const Record& r, const Record& p,
-                                   const WeightModel& wm) const override;
-
-  bool SupportsPrepared() const override { return true; }
-  Result<double> RecordLeakagePrepared(const PreparedRecord& r,
-                                       const PreparedReference& p,
-                                       LeakageWorkspace* ws) const override;
-  Result<double> ExpectedPrecisionPrepared(const PreparedRecord& r,
-                                           const PreparedReference& p,
-                                           LeakageWorkspace* ws) const override;
-
-  bool SupportsColumnar() const override { return true; }
   Result<double> RecordLeakageColumnar(const ColumnRecordView& r,
                                        const PreparedReference& p,
                                        LeakageWorkspace* ws) const override;
@@ -220,20 +162,6 @@ class ApproxLeakage : public LeakageEngine {
   std::string_view name() const override {
     return order_ == 2 ? "approx" : "approx-o1";
   }
-  Result<double> RecordLeakage(const Record& r, const Record& p,
-                               const WeightModel& wm) const override;
-  Result<double> ExpectedPrecision(const Record& r, const Record& p,
-                                   const WeightModel& wm) const override;
-
-  bool SupportsPrepared() const override { return true; }
-  Result<double> RecordLeakagePrepared(const PreparedRecord& r,
-                                       const PreparedReference& p,
-                                       LeakageWorkspace* ws) const override;
-  Result<double> ExpectedPrecisionPrepared(const PreparedRecord& r,
-                                           const PreparedReference& p,
-                                           LeakageWorkspace* ws) const override;
-
-  bool SupportsColumnar() const override { return true; }
   Result<double> RecordLeakageColumnar(const ColumnRecordView& r,
                                        const PreparedReference& p,
                                        LeakageWorkspace* ws) const override;
@@ -245,30 +173,19 @@ class ApproxLeakage : public LeakageEngine {
   int order_;
 };
 
+/// Largest record AutoLeakage hands to the naive oracle (and the naive
+/// engine's cap inside it): 2^16 worlds per evaluation.
+inline constexpr std::size_t kAutoNaiveCutoff = 16;
+
 /// \brief Dispatching engine: Algorithm 1 when the weight model is constant
-/// over (r, p); the naive oracle when the record is small enough to
-/// enumerate; the Taylor approximation otherwise. This is the engine most
-/// applications should use.
+/// over (r, p); the naive oracle when the record has at most
+/// kAutoNaiveCutoff attributes; the Taylor approximation otherwise. This is
+/// the engine most applications should use.
 class AutoLeakage : public LeakageEngine {
  public:
-  explicit AutoLeakage(std::size_t naive_cutoff = 16)
-      : naive_(naive_cutoff), naive_cutoff_(naive_cutoff) {}
+  AutoLeakage() : naive_(kAutoNaiveCutoff) {}
 
   std::string_view name() const override { return "auto"; }
-  Result<double> RecordLeakage(const Record& r, const Record& p,
-                               const WeightModel& wm) const override;
-  Result<double> ExpectedPrecision(const Record& r, const Record& p,
-                                   const WeightModel& wm) const override;
-
-  bool SupportsPrepared() const override { return true; }
-  Result<double> RecordLeakagePrepared(const PreparedRecord& r,
-                                       const PreparedReference& p,
-                                       LeakageWorkspace* ws) const override;
-  Result<double> ExpectedPrecisionPrepared(const PreparedRecord& r,
-                                           const PreparedReference& p,
-                                           LeakageWorkspace* ws) const override;
-
-  bool SupportsColumnar() const override { return true; }
   Result<double> RecordLeakageColumnar(const ColumnRecordView& r,
                                        const PreparedReference& p,
                                        LeakageWorkspace* ws) const override;
@@ -277,22 +194,19 @@ class AutoLeakage : public LeakageEngine {
                                            LeakageWorkspace* ws) const override;
 
  private:
-  /// The dispatch rule itself, shared by the prepared and columnar paths:
-  /// exact when one weight covers (r, p), naive when small enough to
-  /// enumerate, approx otherwise.
-  const LeakageEngine& PickBy(bool uniform, std::size_t record_size) const;
-  const LeakageEngine& Pick(const PreparedRecord& r,
+  /// The dispatch rule itself: exact when one weight covers (r, p), naive
+  /// when small enough to enumerate, approx otherwise.
+  const LeakageEngine& Pick(const ColumnRecordView& r,
                             const PreparedReference& p) const;
 
   NaiveLeakage naive_;
   ExactLeakage exact_;
   ApproxLeakage approx_;
-  std::size_t naive_cutoff_;
 };
 
 /// \brief Basic set leakage L0(R, p) = max_{r∈R} L(r, p) (§2.3); 0 for an
-/// empty database. Prepares `p` once and streams the records through a
-/// reusable workspace.
+/// empty database. Prepares `p` once and streams the records through one
+/// reusable `PreparedRecord` holder and workspace.
 Result<double> SetLeakage(const Database& db, const Record& p,
                           const WeightModel& wm, const LeakageEngine& engine);
 
@@ -307,40 +221,23 @@ Result<double> SetLeakageArgMax(const Database& db, const Record& p,
                                 const WeightModel& wm,
                                 const LeakageEngine& engine,
                                 std::ptrdiff_t* argmax);
-Result<double> SetLeakageArgMax(const Database& db, const PreparedReference& p,
-                                const LeakageEngine& engine,
-                                std::ptrdiff_t* argmax);
 
-/// \brief Cancellable set-leakage scan: as SetLeakageArgMax, but polls
-/// `cancel` every `check_every` record evaluations (and before the first);
-/// a true return aborts the scan with DeadlineExceeded. The scan order and
-/// floating-point accumulation match the uncancelled overload exactly, so a
-/// run that is never cancelled returns bit-identical results. This is how
-/// the serving layer enforces per-request deadlines mid-evaluation without
-/// the engines knowing about clocks.
+/// \brief As above with a caller-prepared reference, optionally
+/// cancellable: when `cancel` is set it is polled every `check_every`
+/// record evaluations (and before the first), and a true return aborts the
+/// scan with DeadlineExceeded. Polling does not change the scan order or
+/// the floating-point accumulation, so a run that is never cancelled
+/// returns bit-identical results. This is how the serving layer enforces
+/// per-request deadlines mid-evaluation without the engines knowing about
+/// clocks.
 Result<double> SetLeakageArgMax(const Database& db, const PreparedReference& p,
                                 const LeakageEngine& engine,
                                 std::ptrdiff_t* argmax,
-                                const std::function<bool()>& cancel,
+                                const std::function<bool()>& cancel = {},
                                 std::size_t check_every = 256);
 
-/// \brief Parallel set leakage: partitions the database across
-/// `num_threads` worker threads (hardware concurrency when 0) and reduces
-/// by maximum. The reference is prepared once and shared read-only; each
-/// thread owns its workspace. The maximum is order-independent, so the
-/// result is bit-identical to SetLeakage; engines are stateless and safe to
-/// share. Worthwhile from a few thousand record-leakage evaluations upward.
-Result<double> SetLeakageParallel(const Database& db, const Record& p,
-                                  const WeightModel& wm,
-                                  const LeakageEngine& engine,
-                                  std::size_t num_threads = 0);
-Result<double> SetLeakageParallel(const Database& db,
-                                  const PreparedReference& p,
-                                  const LeakageEngine& engine,
-                                  std::size_t num_threads = 0);
-
 /// \brief Batch evaluation: L(r, p) for every record in `records` against a
-/// once-prepared `p`, in order. The building block for scoring scenarios
+/// once-prepared `p`, in order, through one reusable holder. The building block for scoring scenarios
 /// that need per-record leakages rather than the max (re-identification,
 /// ranking, probabilistic bounds).
 Result<std::vector<double>> BatchLeakage(std::span<const Record* const> records,
@@ -377,10 +274,10 @@ struct ColumnScanOptions {
 };
 
 /// \brief Set leakage L0 over a column bank: max_i L(bank[i], p), with the
-/// attaining index in `*argmax` (-1 when empty). Serial scans, parallel
+/// attaining index in `*argmax` (-1 when empty). Serial scans, sharded
 /// scans, and cancelled-then-retried scans all return bit-identical maxima
 /// and the same (first) argmax as SetLeakageArgMax over the source
-/// database. NotSupported for engines without a columnar path.
+/// database.
 Result<double> SetLeakageColumnar(const ColumnBank& bank,
                                   const LeakageEngine& engine,
                                   std::ptrdiff_t* argmax = nullptr,
@@ -397,11 +294,22 @@ Result<std::vector<double>> BatchLeakageColumnar(const ColumnBank& bank,
 /// evaluates exactly the records appended since its last run, and because
 /// the per-record computation is the same one ScanColumnRange performs, a
 /// sequence of these calls is bit-identical to a cold scan over the same
-/// bank. NotSupported for engines without a columnar path; `ws` may be
-/// null (a scratch workspace is then used).
+/// bank. `ws` may be null (a scratch workspace is then used).
 Result<double> BankRecordLeakage(const ColumnBank& bank, std::size_t index,
                                  const LeakageEngine& engine,
                                  LeakageWorkspace* ws = nullptr);
+
+/// \brief Single-record evaluation against a caller-prepared reference:
+/// loads `r` into `holder` and evaluates its view — the per-record step of
+/// SetLeakageArgMax and BatchLeakage, for callers that score records one at
+/// a time against a reference they keep (the store's `RecordLeak`, the
+/// service's inline `leak`, streaming and re-identification). `holder` and
+/// `ws` may be null (scratch is then used); pass them to reuse capacity
+/// across calls.
+Result<double> HolderRecordLeakage(const Record& r, const PreparedReference& p,
+                                   const LeakageEngine& engine,
+                                   PreparedRecord* holder = nullptr,
+                                   LeakageWorkspace* ws = nullptr);
 
 /// \brief Convenience factory for the dispatching engine.
 std::unique_ptr<LeakageEngine> MakeDefaultEngine();

@@ -16,7 +16,10 @@ namespace infoleak {
 /// result supporting the paper's design choice).
 ///
 /// Deterministic: the world stream derives from (seed, r, p) only through
-/// the explicit seed, so repeated calls return the same estimate.
+/// the explicit seed, so repeated calls return the same estimate. Worlds
+/// are sampled over the record view's columns in canonical attribute order,
+/// so the string adapter, a bank view and a holder view of the same record
+/// draw the same worlds.
 class MonteCarloLeakage : public LeakageEngine {
  public:
   explicit MonteCarloLeakage(std::size_t samples = 10000,
@@ -25,10 +28,13 @@ class MonteCarloLeakage : public LeakageEngine {
 
   std::string_view name() const override { return "monte-carlo"; }
 
-  Result<double> RecordLeakage(const Record& r, const Record& p,
-                               const WeightModel& wm) const override;
-  Result<double> ExpectedPrecision(const Record& r, const Record& p,
-                                   const WeightModel& wm) const override;
+  /// The estimate's mean, for the view resolved against `p`.
+  Result<double> RecordLeakageColumnar(const ColumnRecordView& r,
+                                       const PreparedReference& p,
+                                       LeakageWorkspace* ws) const override;
+  Result<double> ExpectedPrecisionColumnar(const ColumnRecordView& r,
+                                           const PreparedReference& p,
+                                           LeakageWorkspace* ws) const override;
 
   /// Leakage estimate plus its standard error (sample std-dev / √n).
   struct Estimate {
@@ -50,8 +56,7 @@ class MonteCarloLeakage : public LeakageEngine {
   uint64_t seed() const { return seed_; }
 
  private:
-  Result<Estimate> Run(const Record& r, const Record& p,
-                       const WeightModel& wm, double base, double factor,
+  Result<Estimate> Run(const ColumnRecordView& r, double base, double factor,
                        uint64_t seed) const;
 
   std::size_t samples_;

@@ -35,51 +35,55 @@ void LeakageWorkspace::ReserveFor(std::size_t max_record_attrs,
   match_conf.reserve(reference_attrs);
   match_rpos.reserve(reference_attrs);
   matched.reserve(max_record_attrs);
-  conf.reserve(max_record_attrs);
-  weight.reserve(max_record_attrs);
+}
+
+RecordWeightSummary AppendRecordColumns(const Record& r,
+                                        const PreparedReference& ref,
+                                        RecordColumns* cols) {
+  RecordWeightSummary summary;
+  const Symbols& syms = ref.symbols();
+  const std::size_t begin = cols->conf.size();
+  for (const auto& a : r) {
+    const uint32_t label = syms.labels.Find(a.label);
+    const uint32_t value = syms.values.Find(a.value);
+    const double weight = label != SymbolTable::kNoSymbol
+                              ? ref.LabelWeight(label)
+                              : ref.weight_model().Weight(a.label);
+    if (cols->conf.size() == begin) {
+      summary.common = weight;
+    } else if (weight != summary.common) {
+      summary.uniform = false;
+    }
+    cols->conf.push_back(a.confidence);
+    cols->weight.push_back(weight);
+    cols->label.push_back(label);
+    cols->match_pos.push_back(ref.MatchPosition(label, value));
+  }
+  return summary;
 }
 
 void PreparedRecord::Assign(const Record& r, const PreparedReference& ref) {
-  attrs_.clear();
-  attrs_.reserve(r.size());
-  uniform_ = true;
-  common_weight_ = 0.0;
-  const Symbols& syms = ref.symbols();
-  for (const auto& a : r) {
-    PreparedAttr pa;
-    pa.label = syms.labels.Find(a.label);
-    pa.value = syms.values.Find(a.value);
-    pa.confidence = a.confidence;
-    pa.weight = pa.label != SymbolTable::kNoSymbol
-                    ? ref.LabelWeight(pa.label)
-                    : ref.weight_model().Weight(a.label);
-    if (attrs_.empty()) {
-      common_weight_ = pa.weight;
-    } else if (pa.weight != common_weight_) {
-      uniform_ = false;
-    }
-    attrs_.push_back(pa);
-  }
+  cols_.conf.clear();
+  cols_.weight.clear();
+  cols_.label.clear();
+  cols_.match_pos.clear();
+  cols_.conf.reserve(r.size());
+  cols_.weight.reserve(r.size());
+  cols_.label.reserve(r.size());
+  cols_.match_pos.reserve(r.size());
+  summary_ = AppendRecordColumns(r, ref, &cols_);
 }
 
-bool UniformWeightOver(const PreparedRecord& r, const PreparedReference& p) {
-  if (!r.uniform_weight() || !p.uniform_weight()) return false;
-  if (r.size() == 0 || p.size() == 0) return true;
-  return r.common_weight() == p.common_weight();
-}
-
-void FillMatches(const PreparedRecord& r, const PreparedReference& p,
-                 LeakageWorkspace* ws) {
-  ws->match_conf.assign(p.size(), 0.0);
-  ws->match_rpos.assign(p.size(), PreparedReference::kNoMatch);
-  const auto& attrs = r.attrs();
-  for (std::size_t i = 0; i < attrs.size(); ++i) {
-    const uint32_t pos = p.MatchPosition(attrs[i].label, attrs[i].value);
-    if (pos != PreparedReference::kNoMatch) {
-      ws->match_conf[pos] = attrs[i].confidence;
-      ws->match_rpos[pos] = static_cast<uint32_t>(i);
-    }
-  }
+ColumnRecordView PreparedRecord::view() const {
+  ColumnRecordView v;
+  v.conf = cols_.conf.data();
+  v.weight = cols_.weight.data();
+  v.label = cols_.label.data();
+  v.match_pos = cols_.match_pos.data();
+  v.size = cols_.conf.size();
+  v.uniform_weight = summary_.uniform;
+  v.common_weight = summary_.common;
+  return v;
 }
 
 }  // namespace infoleak

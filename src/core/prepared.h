@@ -96,9 +96,8 @@ class FlatPairMap {
   std::size_t size_ = 0;
 };
 
-/// \brief One interned attribute: symbol ids instead of strings, the
-/// per-label weight already resolved. The unit of work of the prepared
-/// evaluation hot path.
+/// \brief One interned attribute of a prepared reference: symbol ids
+/// instead of strings, the per-label weight already resolved.
 struct PreparedAttr {
   uint32_t label = SymbolTable::kNoSymbol;
   uint32_t value = SymbolTable::kNoSymbol;
@@ -113,13 +112,13 @@ struct PreparedAttr {
 ///
 /// Lifetime: the prepared reference keeps pointers to the source record and
 /// the weight model — both must outlive it. It owns the symbol tables its
-/// ids refer to; `PreparedRecord`s are prepared *against* a reference and
-/// are only meaningful with that reference.
+/// ids refer to; record columns (`PreparedRecord`, `ColumnBank`) are
+/// resolved *against* a reference and are only meaningful with it.
 ///
 /// The attribute order deliberately mirrors the source record's canonical
-/// string order (not id order) so that prepared evaluations accumulate
-/// floating-point sums in exactly the same order as the string API — the
-/// two paths are bit-identical, which the equivalence property test pins.
+/// string order (not id order) so that evaluations accumulate
+/// floating-point sums in exactly the same order as a from-scratch string
+/// computation.
 class PreparedReference {
  public:
   /// Position sentinel returned by MatchPosition for non-matches.
@@ -163,7 +162,7 @@ class PreparedReference {
   const Symbols& symbols() const { return syms_; }
   const WeightModel& weight_model() const { return *wm_; }
 
-  /// The source record `p` (for engines without a prepared path).
+  /// The source record `p`.
   const Record& record() const { return *source_; }
 
  private:
@@ -179,15 +178,57 @@ class PreparedReference {
   const WeightModel* wm_;
 };
 
-/// \brief An adversary record `r` prepared against a reference: interned
-/// attributes (canonical order, weights resolved). Attributes whose label or
-/// value never occurs in the reference get kNoSymbol ids — they can match
-/// nothing, which is all the evaluation needs — so the reference's symbol
-/// tables stay bounded by |p| no matter how many records stream through.
+/// \brief Structure-of-arrays view of one adversary record prepared against
+/// a reference: raw pointers into contiguous per-attribute columns plus the
+/// per-record scalars the engines need. This is the one input every engine
+/// evaluates (`LeakageEngine::RecordLeakageColumnar`); it points either into
+/// a `ColumnBank` (many records) or into a `PreparedRecord` (one). Cheap to
+/// construct (no ownership); valid until its storage is modified.
+struct ColumnRecordView {
+  const double* conf = nullptr;        ///< believed confidence per attribute
+  const double* weight = nullptr;      ///< resolved label weight per attribute
+  const uint32_t* label = nullptr;     ///< interned label id (kNoSymbol if unknown to p)
+  const uint32_t* match_pos = nullptr; ///< position in p, or PreparedReference::kNoMatch
+  std::size_t size = 0;                ///< attribute count |r|
+  bool uniform_weight = true;          ///< one weight across the record's labels
+  double common_weight = 0.0;          ///< that weight (0 when empty)
+};
+
+/// \brief Growable per-attribute columns of records resolved against one
+/// reference: the storage behind both `ColumnBank` and `PreparedRecord`.
+struct RecordColumns {
+  std::vector<double> conf;
+  std::vector<double> weight;
+  std::vector<uint32_t> label;
+  std::vector<uint32_t> match_pos;
+};
+
+/// Uniform-weight summary of one appended record (see ColumnRecordView).
+struct RecordWeightSummary {
+  bool uniform = true;
+  double common = 0.0;
+};
+
+/// \brief The attribute-resolution rule, in one place: appends `r`'s
+/// attributes to `cols` in canonical order, each with its confidence, its
+/// weight (the reference's cached label weight, or the weight model's for
+/// labels `p` lacks), its interned label id, and its match position in
+/// `p`. Labels and values that never occur in the reference get kNoSymbol
+/// ids and match nothing, so the reference's symbol tables stay bounded by
+/// |p| no matter how many records stream through.
+RecordWeightSummary AppendRecordColumns(const Record& r,
+                                        const PreparedReference& ref,
+                                        RecordColumns* cols);
+
+/// \brief The one-record column holder: an adversary record `r` resolved
+/// against a reference into its own scratch columns, evaluated through
+/// `view()` exactly like a bank record. This is how the string adapters and
+/// the record-at-a-time callers reach the engines' single (columnar)
+/// evaluation path.
 ///
-/// Default-constructible and reusable: `Assign` re-prepares in place,
+/// Default-constructible and reusable: `Assign` re-resolves in place,
 /// reusing capacity, so a caller evaluating a whole database touches the
-/// allocator only while the first few records grow the buffer.
+/// allocator only while the first few records grow the columns.
 class PreparedRecord {
  public:
   PreparedRecord() = default;
@@ -195,41 +236,29 @@ class PreparedRecord {
     Assign(r, ref);
   }
 
-  /// Re-prepares this view for `r` against `ref`, reusing storage.
+  /// Re-resolves this holder for `r` against `ref`, reusing storage.
   void Assign(const Record& r, const PreparedReference& ref);
 
-  const std::vector<PreparedAttr>& attrs() const { return attrs_; }
-  std::size_t size() const { return attrs_.size(); }
+  /// SoA view of the held record; valid until the next Assign.
+  ColumnRecordView view() const;
 
-  /// True iff every label of `r` carries one weight value (vacuously true
-  /// when empty); `common_weight()` is that value.
-  bool uniform_weight() const { return uniform_; }
-  double common_weight() const { return common_weight_; }
+  std::size_t size() const { return cols_.conf.size(); }
 
  private:
-  std::vector<PreparedAttr> attrs_;
-  bool uniform_ = true;
-  double common_weight_ = 0.0;
+  RecordColumns cols_;
+  RecordWeightSummary summary_;
 };
 
-/// True iff one common weight covers every label of `r` and `p` — the
-/// prepared analogue of WeightModel::IsConstantOver (Algorithm 1's
-/// precondition).
-bool UniformWeightOver(const PreparedRecord& r, const PreparedReference& p);
-
-/// \brief Caller-owned scratch for prepared evaluations. Engines size the
-/// buffers on demand; capacity is retained across calls, so reusing one
-/// workspace for a batch of evaluations makes the steady state
-/// allocation-free. Contents are engine-internal and carry no state between
-/// calls — any evaluation may be replayed with a fresh workspace and yields
-/// the identical result.
+/// \brief Caller-owned scratch for evaluations. Engines size the buffers on
+/// demand; capacity is retained across calls, so reusing one workspace for
+/// a batch of evaluations makes the steady state allocation-free. Contents
+/// are engine-internal and carry no state between calls — any evaluation
+/// may be replayed with a fresh workspace and yields the identical result.
 struct LeakageWorkspace {
   std::vector<double> poly;        // Algorithm 1's coefficient list Y
   std::vector<double> match_conf;  // per reference position: p(b, r)
   std::vector<uint32_t> match_rpos;  // per reference position: index into r
   std::vector<uint8_t> matched;      // per record attribute: b ∈ p?
-  std::vector<double> conf;    // per record attribute: confidence column
-  std::vector<double> weight;  // per record attribute: weight column
 
   /// Pre-grows every buffer for records up to `max_record_attrs` attributes
   /// against a reference of `reference_attrs` — after this, evaluating any
@@ -237,10 +266,5 @@ struct LeakageWorkspace {
   /// call it once per contiguous range; asserted by the steady-state test).
   void ReserveFor(std::size_t max_record_attrs, std::size_t reference_attrs);
 };
-
-/// Fills `ws->match_conf` / `ws->match_rpos` for (r, p): one O(|r|) pass of
-/// hash lookups shared by every prepared evaluation core.
-void FillMatches(const PreparedRecord& r, const PreparedReference& p,
-                 LeakageWorkspace* ws);
 
 }  // namespace infoleak

@@ -150,7 +150,6 @@ Result<double> RecordStore::SetLeak(const PreparedReference& ref,
   obs::PhaseTimer eval_phase(ctx, obs::Phase::kEval);
   std::shared_lock lock(mu_);
   if (ctx != nullptr) ctx->AddRecordsScanned(db_.size());
-  if (!cancel) return SetLeakageArgMax(db_, ref, engine, argmax);
   return SetLeakageArgMax(db_, ref, engine, argmax, cancel);
 }
 
@@ -191,14 +190,9 @@ Result<double> RecordStore::RecordLeak(RecordId id,
   if (id >= db_.size()) {
     return Status::OutOfRange("no record with id " + std::to_string(id));
   }
-  // Mirrors BatchLeakage's per-record path so the answer is bit-identical
-  // to the offline CLI's per-record report.
-  if (!engine.SupportsPrepared()) {
-    return engine.RecordLeakage(db_[id], ref.record(), ref.weight_model());
-  }
-  LeakageWorkspace ws;
-  PreparedRecord r(db_[id], ref);
-  return engine.RecordLeakagePrepared(r, ref, &ws);
+  // BatchLeakage's per-record step, so the answer is bit-identical to the
+  // offline CLI's per-record report.
+  return HolderRecordLeakage(db_[id], ref, engine);
 }
 
 Result<Record> RecordStore::Dossier(const Record& query,

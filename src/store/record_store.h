@@ -95,8 +95,7 @@ class RecordStore {
                          std::vector<RecordId>* members = nullptr) const;
 
   /// Set leakage of the stored database against person `p`: prepares `p`
-  /// once and scores every stored record through the engine's prepared
-  /// path (string fallback for engines without one).
+  /// once and scores every stored record through one reusable holder.
   Result<double> Leakage(const Record& p, const WeightModel& wm,
                          const LeakageEngine& engine) const;
 
@@ -146,7 +145,7 @@ class RecordStore {
   bool MaintainIndex(inc::LeakageIndex& index) const;
 
   /// Record leakage L(r, p) of the stored record `id` against a prepared
-  /// reference, through the engine's prepared path (string fallback).
+  /// reference, through the one-record holder (HolderRecordLeakage).
   Result<double> RecordLeak(RecordId id, const PreparedReference& ref,
                             const LeakageEngine& engine,
                             obs::RequestContext* ctx = nullptr) const;

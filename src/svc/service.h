@@ -55,7 +55,9 @@ struct ServiceConfig {
 /// The cache is what makes the service a serving layer rather than a CLI
 /// in a loop: a repeated reference (the common case — one auditor probing
 /// many releases) is interned and prepared once, and every later `leak` /
-/// `set-leak` against it starts directly on the prepared fast path.
+/// `set-leak` against it evaluates column views against that cached
+/// prepared reference (inline records through a one-record holder, stored
+/// records through the entry's column bank).
 ///
 /// The incremental plane (PR 8) goes one step further: each cached entry
 /// can carry per-engine `inc::LeakageIndex` instances registered on the

@@ -610,16 +610,16 @@ TEST(CliStatsTest, LeakageStatsPrometheusGolden) {
        "--stats"},
       &out);
   ASSERT_TRUE(st.ok()) << st.ToString();
-  // 3 records scored twice (per-record report + set-leakage pass), all on
-  // the prepared path.
+  // 3 records scored twice (per-record report + set-leakage pass), all as
+  // column views of a prepared reference.
   const std::string expected =
       "# HELP infoleak_cli_commands_total CLI commands dispatched\n"
       "# TYPE infoleak_cli_commands_total counter\n"
       "infoleak_cli_commands_total{command=\"leakage\"} 1\n"
       "# HELP infoleak_eval_path_total Record evaluations by API path: "
-      "prepared fast path vs string adapter/fallback\n"
+      "string adapter vs column view\n"
       "# TYPE infoleak_eval_path_total counter\n"
-      "infoleak_eval_path_total{path=\"prepared\"} 6\n"
+      "infoleak_eval_path_total{path=\"columnar\"} 6\n"
       "# HELP infoleak_kernel_dispatch_total Array-kernel invocations by "
       "dispatched variant (scalar / avx2 / avx512; forced scalar via "
       "INFOLEAK_FORCE_SCALAR)\n"
@@ -632,7 +632,8 @@ TEST(CliStatsTest, LeakageStatsPrometheusGolden) {
       "infoleak_leakage_evaluations_total{engine=\"exact\"} 6\n" +
       BuildInfoPromGolden() +
       "# HELP infoleak_prepared_path_hit_ratio Fraction of record "
-      "evaluations served by the prepared fast path\n"
+      "evaluations made against a prepared reference (column views) rather "
+      "than through the string adapter\n"
       "# TYPE infoleak_prepared_path_hit_ratio gauge\n"
       "infoleak_prepared_path_hit_ratio 1\n";
   EXPECT_EQ(SectionAfter(out, "--- metrics ---\n"), expected) << out;
@@ -652,7 +653,7 @@ TEST(CliStatsTest, LeakageStatsJsonGolden) {
       "{\"name\":\"infoleak_cli_commands_total\","
       "\"labels\":{\"command\":\"leakage\"},\"value\":1},"
       "{\"name\":\"infoleak_eval_path_total\","
-      "\"labels\":{\"path\":\"prepared\"},\"value\":6},"
+      "\"labels\":{\"path\":\"columnar\"},\"value\":6},"
       "{\"name\":\"infoleak_kernel_dispatch_total\","
       "\"labels\":{\"variant\":\"" + std::string(kern::Active().name) +
       "\"},\"value\":6},"

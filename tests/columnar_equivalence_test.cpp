@@ -1,12 +1,12 @@
-// The columnar evaluation plane must be a pure representation change:
-// every engine's columnar path (ColumnBank + array kernels) has to return
-// *bit-identical* results to its prepared path — the bank stores the same
-// canonical attribute order and resolves the same weights, and the kernels
-// keep every reduction in the scalar accumulation order. These tests sweep
-// randomized (r, p) pairs — unit, random, and all-zero weights, over-cap
-// records, fully disjoint records — through all four engines and assert
-// equality with EXPECT_EQ on doubles, not EXPECT_NEAR. They also pin the
-// scalar-vs-SIMD kernel contract, incremental bank construction, the
+// The columnar evaluation plane is every engine's one evaluation path: a
+// `ColumnBank` view and a one-record `PreparedRecord` holder view of the
+// same record must evaluate *bit-identically* — both resolve attributes
+// through one shared rule into the same canonical column order, and the
+// kernels keep every reduction in the scalar accumulation order. These
+// tests sweep randomized (r, p) pairs — unit, random, and all-zero weights,
+// over-cap records, fully disjoint records — through all four engines and
+// assert equality with EXPECT_EQ on doubles, not EXPECT_NEAR. They also pin
+// the scalar-vs-SIMD kernel contract, incremental bank construction, the
 // sharded/cancellable columnar scans, and workspace pointer stability.
 
 #include <gtest/gtest.h>
@@ -62,40 +62,39 @@ WeightModel RandomWeights(Rng* rng, const RandomCase& c) {
   return wm;
 }
 
-/// Asserts the columnar and prepared paths of `engine` agree bit-for-bit —
-/// same ok-ness, and on success the exact same double — on all three
-/// measures for (r, p, wm).
+/// Asserts a bank view and a holder view of `r` agree bit-for-bit through
+/// `engine` — same ok-ness, and on success the exact same double — on all
+/// three measures for (r, p, wm), each with its own workspace.
 void ExpectColumnarBitIdentical(const LeakageEngine& engine, const Record& r,
                                 const Record& p, const WeightModel& wm) {
-  ASSERT_TRUE(engine.SupportsPrepared());
-  ASSERT_TRUE(engine.SupportsColumnar());
   const PreparedReference ref(p, wm);
-  PreparedRecord pr(r, ref);
+  const PreparedRecord holder(r, ref);
+  const ColumnRecordView h = holder.view();
   ColumnBank bank(ref);
   bank.Append(r);
   const ColumnRecordView v = bank.view(0);
   LeakageWorkspace ws;
   LeakageWorkspace cws;
 
-  const auto lp = engine.RecordLeakagePrepared(pr, ref, &ws);
+  const auto lh = engine.RecordLeakageColumnar(h, ref, &ws);
   const auto lc = engine.RecordLeakageColumnar(v, ref, &cws);
-  ASSERT_EQ(lp.ok(), lc.ok()) << "r=" << r.ToString() << " p=" << p.ToString();
-  if (lp.ok()) {
-    EXPECT_EQ(*lp, *lc) << "r=" << r.ToString();
+  ASSERT_EQ(lh.ok(), lc.ok()) << "r=" << r.ToString() << " p=" << p.ToString();
+  if (lh.ok()) {
+    EXPECT_EQ(*lh, *lc) << "r=" << r.ToString();
   }
 
-  const auto pp = engine.ExpectedPrecisionPrepared(pr, ref, &ws);
+  const auto ph = engine.ExpectedPrecisionColumnar(h, ref, &ws);
   const auto pc = engine.ExpectedPrecisionColumnar(v, ref, &cws);
-  ASSERT_EQ(pp.ok(), pc.ok());
-  if (pp.ok()) {
-    EXPECT_EQ(*pp, *pc) << "r=" << r.ToString();
+  ASSERT_EQ(ph.ok(), pc.ok());
+  if (ph.ok()) {
+    EXPECT_EQ(*ph, *pc) << "r=" << r.ToString();
   }
 
-  const auto rp = engine.ExpectedRecallPrepared(pr, ref, &ws);
+  const auto rh = engine.ExpectedRecallColumnar(h, ref, &ws);
   const auto rc = engine.ExpectedRecallColumnar(v, ref, &cws);
-  ASSERT_EQ(rp.ok(), rc.ok());
-  if (rp.ok()) {
-    EXPECT_EQ(*rp, *rc) << "r=" << r.ToString();
+  ASSERT_EQ(rh.ok(), rc.ok());
+  if (rh.ok()) {
+    EXPECT_EQ(*rh, *rc) << "r=" << r.ToString();
   }
 
   // Bounds ride along: the columnar bounds kernel must reproduce the
@@ -180,8 +179,8 @@ TEST(ColumnarEquivalence, EdgeRecords) {
 }
 
 TEST(ColumnarEquivalence, OverCapRecordFailsIdenticallyOnBothPaths) {
-  // 18 attributes exceeds NaiveLeakage's default 2^|r| cap: the columnar
-  // path must refuse exactly when the prepared path refuses.
+  // 18 attributes exceeds a 16-attribute 2^|r| cap: the bank view must
+  // refuse exactly when the holder view refuses.
   WeightModel unit;
   Record p, r;
   for (int i = 0; i < 18; ++i) {
@@ -204,8 +203,8 @@ TEST(ColumnarEquivalence, OverCapRecordFailsIdenticallyOnBothPaths) {
 
 TEST(ColumnarEquivalence, AllZeroWeights) {
   // A uniform weight of exactly 0 exercises the 0/0-convention branch that
-  // once split naive and exact (see UniformWeightIsZero); the columnar
-  // path must take the same branch.
+  // once split naive and exact (see UniformWeightIsZero); both views must
+  // take the same branch.
   WeightModel zero;
   Record p, r;
   for (int i = 0; i < 3; ++i) {
@@ -261,7 +260,7 @@ TEST(ColumnBankTest, IncrementalExtendMatchesFromDatabase) {
 }
 
 // ---------------------------------------------------------------------------
-// Columnar scans: serial == sharded == record-at-a-time, cancellation
+// Columnar scans: serial == sharded == holder-at-a-time, cancellation
 // ---------------------------------------------------------------------------
 
 TEST(ColumnarScanTest, SerialAndShardedMatchPreparedScan) {
@@ -340,33 +339,6 @@ TEST(ColumnarScanTest, CancellationAbortsWithDeadlineExceeded) {
   EXPECT_EQ(a1, a2);
 }
 
-TEST(ColumnarScanTest, EngineWithoutColumnarPathIsRefused) {
-  // A stub engine that supports nothing: the columnar scan must refuse it
-  // with NotSupported instead of silently falling back.
-  class StubEngine : public LeakageEngine {
-   public:
-    std::string_view name() const override { return "stub"; }
-    Result<double> RecordLeakage(const Record&, const Record&,
-                                 const WeightModel&) const override {
-      return 0.5;
-    }
-    Result<double> ExpectedPrecision(const Record&, const Record&,
-                                     const WeightModel&) const override {
-      return 0.5;
-    }
-  };
-  WeightModel unit;
-  Record p;
-  p.Insert(Attribute("N", "x", 1.0));
-  const PreparedReference ref(p, unit);
-  ColumnBank bank(ref);
-  StubEngine stub;
-  const auto got = SetLeakageColumnar(bank, stub);
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kNotSupported)
-      << got.status().ToString();
-}
-
 // ---------------------------------------------------------------------------
 // Kernel dispatch: the wide table must reproduce the scalar reference
 // bit-for-bit (the recurrence is element-wise independent; reductions stay
@@ -436,8 +408,6 @@ TEST(ColumnarWorkspaceTest, ReserveForPinsEveryBufferAcrossEvaluations) {
   LeakageWorkspace ws;
   ws.ReserveFor(bank.max_record_size(), ref.size());
   const double* poly = ws.poly.data();
-  const double* conf = ws.conf.data();
-  const double* weight = ws.weight.data();
   const double* match_conf = ws.match_conf.data();
   const uint32_t* match_rpos = ws.match_rpos.data();
   const uint8_t* matched = ws.matched.data();
@@ -447,8 +417,6 @@ TEST(ColumnarWorkspaceTest, ReserveForPinsEveryBufferAcrossEvaluations) {
     ASSERT_TRUE(l.ok()) << l.status().ToString();
   }
   EXPECT_EQ(poly, ws.poly.data());
-  EXPECT_EQ(conf, ws.conf.data());
-  EXPECT_EQ(weight, ws.weight.data());
   EXPECT_EQ(match_conf, ws.match_conf.data());
   EXPECT_EQ(match_rpos, ws.match_rpos.data());
   EXPECT_EQ(matched, ws.matched.data());

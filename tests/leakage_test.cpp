@@ -308,7 +308,11 @@ TEST(AutoLeakageTest, FallsBackToApproxForLargeWeightedRecords) {
   EXPECT_NEAR(*a, *b, kTol);
 }
 
-TEST(SetLeakageParallelTest, MatchesSerialExactly) {
+// The sharded columnar scan (ColumnScanOptions::num_threads > 1) splits the
+// bank into contiguous worker ranges; it must reproduce the serial scan bit
+// for bit, handle an empty bank, and surface any worker's engine error.
+
+TEST(ShardedColumnarScanTest, MatchesSerialExactly) {
   Record p;
   for (int i = 0; i < 20; ++i) {
     p.Insert(Attribute(StrCat("L", std::to_string(i)), "v"));
@@ -327,24 +331,38 @@ TEST(SetLeakageParallelTest, MatchesSerialExactly) {
   }
   WeightModel unit;
   ExactLeakage engine;
-  auto serial = SetLeakage(db, p, unit, engine);
+  std::ptrdiff_t serial_arg = -2;
+  auto serial = SetLeakageArgMax(db, p, unit, engine, &serial_arg);
   ASSERT_TRUE(serial.ok());
+  const PreparedReference ref(p, unit);
+  const ColumnBank bank = ColumnBank::FromDatabase(db, ref);
   for (std::size_t threads : {1u, 2u, 3u, 8u, 64u, 0u}) {
-    auto parallel = SetLeakageParallel(db, p, unit, engine, threads);
-    ASSERT_TRUE(parallel.ok());
-    EXPECT_DOUBLE_EQ(*serial, *parallel) << threads << " threads";
+    ColumnScanOptions options;
+    options.num_threads = threads;
+    std::ptrdiff_t arg = -2;
+    auto sharded = SetLeakageColumnar(bank, engine, &arg, options);
+    ASSERT_TRUE(sharded.ok());
+    EXPECT_EQ(*serial, *sharded) << threads << " threads";
+    EXPECT_EQ(serial_arg, arg) << threads << " threads";
   }
 }
 
-TEST(SetLeakageParallelTest, EmptyDatabase) {
+TEST(ShardedColumnarScanTest, EmptyDatabase) {
   WeightModel unit;
   ExactLeakage engine;
-  auto l = SetLeakageParallel(Database{}, Record{{"A", "1"}}, unit, engine, 4);
+  const Record p{{"A", "1"}};
+  const PreparedReference ref(p, unit);
+  const ColumnBank bank(ref);
+  ColumnScanOptions options;
+  options.num_threads = 4;
+  std::ptrdiff_t argmax = 5;
+  auto l = SetLeakageColumnar(bank, engine, &argmax, options);
   ASSERT_TRUE(l.ok());
   EXPECT_EQ(*l, 0.0);
+  EXPECT_EQ(argmax, -1);
 }
 
-TEST(SetLeakageParallelTest, PropagatesEngineErrors) {
+TEST(ShardedColumnarScanTest, PropagatesEngineErrors) {
   Database db;
   Record huge;
   for (int i = 0; i < 29; ++i) {
@@ -353,9 +371,14 @@ TEST(SetLeakageParallelTest, PropagatesEngineErrors) {
   db.Add(huge);
   db.Add(Record{{"A", "1"}});
   WeightModel wm;
-  ASSERT_TRUE(wm.SetWeight("L0", 2.0).ok());  // forces naive in AutoLeakage?
-  NaiveLeakage naive(25);
-  auto l = SetLeakageParallel(db, Record{{"A", "1"}}, wm, naive, 2);
+  ASSERT_TRUE(wm.SetWeight("L0", 2.0).ok());
+  NaiveLeakage naive(25);  // refuses the 29-attribute record
+  const Record p{{"A", "1"}};
+  const PreparedReference ref(p, wm);
+  const ColumnBank bank = ColumnBank::FromDatabase(db, ref);
+  ColumnScanOptions options;
+  options.num_threads = 2;
+  auto l = SetLeakageColumnar(bank, naive, nullptr, options);
   EXPECT_FALSE(l.ok());
   EXPECT_EQ(l.status().code(), StatusCode::kResourceExhausted);
 }

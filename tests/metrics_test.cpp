@@ -1,7 +1,7 @@
 // Tests for the sharded metrics layer (src/obs/metrics.h): exact
 // aggregation under concurrent writers, registry interning semantics, the
 // global kill switch, and the instrumentation contract of the leakage hot
-// paths — parallel and serial drivers must report identical, exact
+// paths — sharded and serial drivers must report identical, exact
 // evaluation counts.
 
 #include <gtest/gtest.h>
@@ -158,20 +158,24 @@ TEST(LeakageInstrumentation, ParallelDriverCountsEveryRecordExactly) {
   for (const auto& r : data.records) db.Add(r);
   ExactLeakage engine;
   const PreparedReference ref(data.reference, data.weights);
+  const ColumnBank bank = ColumnBank::FromDatabase(db, ref);
 
-  obs::Counter& prepared_path = Reg().GetCounter(
-      "infoleak_eval_path_total", {{"path", "prepared"}});
+  obs::Counter& columnar_path = Reg().GetCounter(
+      "infoleak_eval_path_total", {{"path", "columnar"}});
   obs::Counter& evals = Reg().GetCounter(
       "infoleak_leakage_evaluations_total", {{"engine", "exact"}});
-  const uint64_t path_before = prepared_path.Value();
+  const uint64_t path_before = columnar_path.Value();
   const uint64_t evals_before = evals.Value();
 
   // Explicit thread count: this container may report one hardware thread,
-  // and num_threads=0 would silently run the serial path.
-  auto parallel = SetLeakageParallel(db, ref, engine, /*num_threads=*/4);
+  // and num_threads=0 would silently run the serial path. The per-engine
+  // evaluation counter is bumped concurrently from every shard.
+  ColumnScanOptions sharded;
+  sharded.num_threads = 4;
+  auto parallel = SetLeakageColumnar(bank, engine, nullptr, sharded);
   ASSERT_TRUE(parallel.ok());
 
-  EXPECT_EQ(prepared_path.Value() - path_before, db.size());
+  EXPECT_EQ(columnar_path.Value() - path_before, db.size());
   EXPECT_EQ(evals.Value() - evals_before, db.size());
 
   // And the result matches the serial driver bit for bit.
@@ -186,10 +190,13 @@ TEST(LeakageInstrumentation, ParallelLatencyHistogramAdvances) {
   for (const auto& r : data.records) db.Add(r);
   ExactLeakage engine;
   const PreparedReference ref(data.reference, data.weights);
+  const ColumnBank bank = ColumnBank::FromDatabase(db, ref);
   obs::Histogram& latency = Reg().GetHistogram(
-      "infoleak_set_leakage_seconds", {{"mode", "parallel"}});
+      "infoleak_set_leakage_seconds", {{"mode", "columnar"}});
   const uint64_t before = latency.Count();
-  ASSERT_TRUE(SetLeakageParallel(db, ref, engine, /*num_threads=*/2).ok());
+  ColumnScanOptions sharded;
+  sharded.num_threads = 2;
+  ASSERT_TRUE(SetLeakageColumnar(bank, engine, nullptr, sharded).ok());
   EXPECT_EQ(latency.Count() - before, 1u);
 }
 
@@ -201,19 +208,31 @@ TEST(LeakageInstrumentation, StringAndPreparedPathsCountSameEvaluations) {
   obs::Counter& evals = Reg().GetCounter(
       "infoleak_leakage_evaluations_total", {{"engine", "exact"}});
 
-  // String path: one virtual RecordLeakage per record.
+  obs::Counter& string_path =
+      Reg().GetCounter("infoleak_eval_path_total", {{"path", "string"}});
+  obs::Counter& columnar_path =
+      Reg().GetCounter("infoleak_eval_path_total", {{"path", "columnar"}});
+
+  // String path: one adapter RecordLeakage per record, each counted once
+  // under path="string" (and never under "columnar").
   const uint64_t before_string = evals.Value();
+  const uint64_t string_path_before = string_path.Value();
+  const uint64_t columnar_path_before = columnar_path.Value();
   for (std::size_t i = 0; i < db.size(); ++i) {
     ASSERT_TRUE(
         engine.RecordLeakage(db[i], data.reference, data.weights).ok());
   }
   const uint64_t string_evals = evals.Value() - before_string;
+  EXPECT_EQ(string_path.Value() - string_path_before, db.size());
+  EXPECT_EQ(columnar_path.Value(), columnar_path_before);
 
-  // Prepared path: the SetLeakage driver over the same workload.
+  // Prepared reference: the SetLeakage driver over the same workload,
+  // counted under path="columnar".
   const PreparedReference ref(data.reference, data.weights);
   const uint64_t before_prepared = evals.Value();
   ASSERT_TRUE(SetLeakage(db, ref, engine).ok());
   const uint64_t prepared_evals = evals.Value() - before_prepared;
+  EXPECT_EQ(columnar_path.Value() - columnar_path_before, db.size());
 
   EXPECT_EQ(string_evals, db.size());
   EXPECT_EQ(prepared_evals, string_evals);

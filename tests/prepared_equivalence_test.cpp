@@ -1,10 +1,12 @@
-// The prepared-evaluation layer must be a pure representation change: every
-// engine's prepared path has to return *bit-identical* results to its
-// string path, since the prepared kernels preserve the canonical attribute
-// order and hence the exact floating-point accumulation sequence. These
-// tests sweep randomized (r, p) pairs — with unit and random weights,
-// matched, perturbed, and bogus attributes — through all four engines and
-// assert equality with EXPECT_EQ on doubles, not EXPECT_NEAR.
+// Every engine has one evaluation path (the column view); the string API is
+// an adapter that prepares p, loads r into a one-record `PreparedRecord`
+// holder and evaluates its view. These tests pin the adapter to a
+// `ColumnBank` view of the same record *bit for bit* — the holder and the
+// bank resolve attributes through one shared rule, so their columns (and
+// hence the floating-point accumulation sequence) are identical. They
+// sweep randomized (r, p) pairs — with unit and random weights, matched,
+// perturbed, and bogus attributes — through all engines and assert
+// equality with EXPECT_EQ on doubles, not EXPECT_NEAR.
 
 #include <gtest/gtest.h>
 
@@ -54,36 +56,48 @@ WeightModel RandomWeights(Rng* rng, const RandomCase& c) {
   return wm;
 }
 
-/// Asserts string and prepared paths of `engine` agree bit-for-bit on all
-/// three measures for (r, p, wm). Skips measure/engine combinations the
-/// string path itself rejects (e.g. exact with non-constant weights) after
-/// checking the prepared path rejects them too.
+/// Asserts the holder's columns equal a bank's for (r, p, wm), and that the
+/// string adapter of `engine` agrees bit-for-bit with the bank view on all
+/// three measures. Measure/engine combinations the view rejects (e.g. exact
+/// with non-constant weights) must be rejected by the adapter too.
 void ExpectBitIdentical(const LeakageEngine& engine, const Record& r,
                         const Record& p, const WeightModel& wm) {
-  ASSERT_TRUE(engine.SupportsPrepared());
   const PreparedReference ref(p, wm);
-  PreparedRecord pr(r, ref);
+  ColumnBank bank(ref);
+  bank.Append(r);
+  const ColumnRecordView v = bank.view(0);
+  const PreparedRecord holder(r, ref);
+  const ColumnRecordView h = holder.view();
+  ASSERT_EQ(h.size, v.size);
+  EXPECT_EQ(h.uniform_weight, v.uniform_weight);
+  EXPECT_EQ(h.common_weight, v.common_weight);
+  for (std::size_t i = 0; i < v.size; ++i) {
+    EXPECT_EQ(h.conf[i], v.conf[i]);
+    EXPECT_EQ(h.weight[i], v.weight[i]);
+    EXPECT_EQ(h.label[i], v.label[i]);
+    EXPECT_EQ(h.match_pos[i], v.match_pos[i]);
+  }
   LeakageWorkspace ws;
 
   const auto ls = engine.RecordLeakage(r, p, wm);
-  const auto lp = engine.RecordLeakagePrepared(pr, ref, &ws);
-  ASSERT_EQ(ls.ok(), lp.ok()) << "r=" << r.ToString() << " p=" << p.ToString();
+  const auto lv = engine.RecordLeakageColumnar(v, ref, &ws);
+  ASSERT_EQ(ls.ok(), lv.ok()) << "r=" << r.ToString() << " p=" << p.ToString();
   if (ls.ok()) {
-    EXPECT_EQ(*ls, *lp) << "r=" << r.ToString();
+    EXPECT_EQ(*ls, *lv) << "r=" << r.ToString();
   }
 
   const auto ps = engine.ExpectedPrecision(r, p, wm);
-  const auto pp = engine.ExpectedPrecisionPrepared(pr, ref, &ws);
-  ASSERT_EQ(ps.ok(), pp.ok());
+  const auto pv = engine.ExpectedPrecisionColumnar(v, ref, &ws);
+  ASSERT_EQ(ps.ok(), pv.ok());
   if (ps.ok()) {
-    EXPECT_EQ(*ps, *pp) << "r=" << r.ToString();
+    EXPECT_EQ(*ps, *pv) << "r=" << r.ToString();
   }
 
   const auto rs = engine.ExpectedRecall(r, p, wm);
-  const auto rp = engine.ExpectedRecallPrepared(pr, ref, &ws);
-  ASSERT_EQ(rs.ok(), rp.ok());
+  const auto rv = engine.ExpectedRecallColumnar(v, ref, &ws);
+  ASSERT_EQ(rs.ok(), rv.ok());
   if (rs.ok()) {
-    EXPECT_EQ(*rs, *rp) << "r=" << r.ToString();
+    EXPECT_EQ(*rs, *rv) << "r=" << r.ToString();
   }
 }
 
@@ -140,7 +154,7 @@ TEST_P(PreparedEquivalence, EdgeRecords) {
   ExpectBitIdentical(approx, empty, c.p, unit);
 
   // r entirely disjoint from p (every id resolves to the kNoSymbol
-  // sentinel on the prepared side).
+  // sentinel in the columns).
   Record disjoint;
   disjoint.Insert(Attribute("X1", "y1", 0.7));
   disjoint.Insert(Attribute("X2", "y2", 0.4));
@@ -156,8 +170,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PreparedEquivalence,
                          ::testing::Range(uint64_t{1}, uint64_t{13}));
 
 // ---------------------------------------------------------------------------
-// Workspace and scratch-record reuse: repeated evaluation through the same
-// workspace must not accumulate state across records of different sizes.
+// Workspace and holder reuse: repeated evaluation through the same
+// workspace and holder must not accumulate state across records of
+// different sizes.
 // ---------------------------------------------------------------------------
 
 TEST(PreparedWorkspace, ReuseAcrossRecordsMatchesFreshEvaluation) {
@@ -175,20 +190,21 @@ TEST(PreparedWorkspace, ReuseAcrossRecordsMatchesFreshEvaluation) {
   }
 
   LeakageWorkspace ws;
-  PreparedRecord scratch;
+  PreparedRecord holder;
   for (const auto& r : records) {
-    scratch.Assign(r, ref);
+    holder.Assign(r, ref);
     // Fresh per-record state is the ground truth.
-    PreparedRecord fresh(r, ref);
+    const PreparedRecord fresh(r, ref);
     LeakageWorkspace fresh_ws;
-    auto reused = exact.RecordLeakagePrepared(scratch, ref, &ws);
-    auto pristine = exact.RecordLeakagePrepared(fresh, ref, &fresh_ws);
+    auto reused = exact.RecordLeakageColumnar(holder.view(), ref, &ws);
+    auto pristine = exact.RecordLeakageColumnar(fresh.view(), ref, &fresh_ws);
     ASSERT_TRUE(reused.ok());
     ASSERT_TRUE(pristine.ok());
     EXPECT_EQ(*reused, *pristine);
 
-    auto a_reused = approx.RecordLeakagePrepared(scratch, ref, &ws);
-    auto a_pristine = approx.RecordLeakagePrepared(fresh, ref, &fresh_ws);
+    auto a_reused = approx.RecordLeakageColumnar(holder.view(), ref, &ws);
+    auto a_pristine =
+        approx.RecordLeakageColumnar(fresh.view(), ref, &fresh_ws);
     ASSERT_TRUE(a_reused.ok());
     ASSERT_TRUE(a_pristine.ok());
     EXPECT_EQ(*a_reused, *a_pristine);
@@ -201,19 +217,20 @@ TEST(PreparedWorkspace, RepeatedEvaluationIsIdempotent) {
   ExactLeakage exact;
   RandomCase c = MakeRandomCase(&rng, 6, 0.9);
   const PreparedReference ref(c.p, unit);
-  PreparedRecord pr(c.r, ref);
+  const PreparedRecord holder(c.r, ref);
   LeakageWorkspace ws;
-  auto first = exact.RecordLeakagePrepared(pr, ref, &ws);
+  auto first = exact.RecordLeakageColumnar(holder.view(), ref, &ws);
   ASSERT_TRUE(first.ok());
   for (int i = 0; i < 5; ++i) {
-    auto again = exact.RecordLeakagePrepared(pr, ref, &ws);
+    auto again = exact.RecordLeakageColumnar(holder.view(), ref, &ws);
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(*first, *again);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Set-level entry points: string overloads vs prepared overloads vs batch.
+// Set-level entry points: string overloads vs prepared overloads vs the
+// sharded bank scan vs batch.
 // ---------------------------------------------------------------------------
 
 TEST(PreparedSetLeakage, StringAndPreparedOverloadsAgree) {
@@ -244,9 +261,14 @@ TEST(PreparedSetLeakage, StringAndPreparedOverloadsAgree) {
   EXPECT_EQ(*am_s, *am_p);
   EXPECT_EQ(argmax_s, argmax_p);
 
-  auto par = SetLeakageParallel(db, ref, exact, /*num_threads=*/2);
-  ASSERT_TRUE(par.ok());
-  EXPECT_EQ(*via_string, *par);
+  const ColumnBank bank = ColumnBank::FromDatabase(db, ref);
+  ColumnScanOptions sharded;
+  sharded.num_threads = 2;
+  std::ptrdiff_t argmax_c = 0;
+  auto scan = SetLeakageColumnar(bank, exact, &argmax_c, sharded);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(*via_string, *scan);
+  EXPECT_EQ(argmax_s, argmax_c);
 }
 
 TEST(PreparedSetLeakage, BatchLeakageMatchesPerRecordCalls) {
@@ -275,65 +297,6 @@ TEST(PreparedSetLeakage, BatchLeakageMatchesPerRecordCalls) {
     ASSERT_TRUE(one.ok());
     EXPECT_EQ((*batch_s)[i], *one) << "record " << i;
     EXPECT_EQ((*batch_p)[i], *one) << "record " << i;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Fallback path: an engine without a prepared implementation must still be
-// usable through every prepared entry point.
-// ---------------------------------------------------------------------------
-
-/// Minimal external engine: string API only, like MonteCarloLeakage.
-class StringOnlyEngine : public LeakageEngine {
- public:
-  Result<double> RecordLeakage(const Record& r, const Record& p,
-                               const WeightModel& wm) const override {
-    ExactLeakage exact;
-    return exact.RecordLeakage(r, p, wm);
-  }
-  Result<double> ExpectedPrecision(const Record& r, const Record& p,
-                                   const WeightModel& wm) const override {
-    ExactLeakage exact;
-    return exact.ExpectedPrecision(r, p, wm);
-  }
-  std::string_view name() const override { return "string-only"; }
-};
-
-TEST(PreparedFallback, StringOnlyEngineWorksThroughPreparedOverloads) {
-  GeneratorConfig config = GeneratorConfig::Basic();
-  config.n = 8;
-  config.num_records = 20;
-  config.seed = 5;
-  auto data = GenerateDataset(config);
-  ASSERT_TRUE(data.ok());
-  Database db;
-  for (const auto& r : data->records) db.Add(r);
-
-  StringOnlyEngine engine;
-  EXPECT_FALSE(engine.SupportsPrepared());
-  const PreparedReference ref(data->reference, data->weights);
-
-  // The prepared virtuals themselves report NotSupported...
-  PreparedRecord pr(data->records[0], ref);
-  LeakageWorkspace ws;
-  auto direct = engine.RecordLeakagePrepared(pr, ref, &ws);
-  EXPECT_FALSE(direct.ok());
-
-  // ...but the set-level overloads transparently fall back to strings.
-  auto via_prepared = SetLeakage(db, ref, engine);
-  auto via_string = SetLeakage(db, data->reference, data->weights, engine);
-  ASSERT_TRUE(via_prepared.ok());
-  ASSERT_TRUE(via_string.ok());
-  EXPECT_EQ(*via_string, *via_prepared);
-
-  std::vector<const Record*> ptrs;
-  for (const auto& r : data->records) ptrs.push_back(&r);
-  auto batch = BatchLeakage(ptrs, ref, engine);
-  ASSERT_TRUE(batch.ok());
-  for (std::size_t i = 0; i < ptrs.size(); ++i) {
-    auto one = engine.RecordLeakage(*ptrs[i], data->reference, data->weights);
-    ASSERT_TRUE(one.ok());
-    EXPECT_EQ((*batch)[i], *one);
   }
 }
 

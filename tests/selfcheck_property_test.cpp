@@ -157,8 +157,8 @@ TEST(SelfCheckPropertyTest, ApproxStaysWithinItsErrorBound) {
   }
 }
 
-// The string-record API and the prepared fast path must agree
-// bit-for-bit — not approximately — on every engine.
+// The string-record adapter and a prepared reference's holder view must
+// agree bit-for-bit — not approximately — on every engine.
 TEST(SelfCheckPropertyTest, PreparedPathIsBitIdentical) {
   NaiveLeakage naive(12);  // over-cap records must fail identically too
   ExactLeakage exact;
@@ -168,14 +168,15 @@ TEST(SelfCheckPropertyTest, PreparedPathIsBitIdentical) {
   for (int i = 0; i < 200; ++i) {
     const CheckCase c = gen.Next();
     PreparedReference ref(c.p, c.wm);
-    PreparedRecord pr(c.r, ref);
+    const PreparedRecord holder(c.r, ref);
     LeakageWorkspace ws;
     for (const LeakageEngine* engine :
          {static_cast<const LeakageEngine*>(&naive),
           static_cast<const LeakageEngine*>(&exact),
           static_cast<const LeakageEngine*>(&approx)}) {
       const auto via_string = engine->RecordLeakage(c.r, c.p, c.wm);
-      const auto via_prepared = engine->RecordLeakagePrepared(pr, ref, &ws);
+      const auto via_prepared =
+          engine->RecordLeakageColumnar(holder.view(), ref, &ws);
       ASSERT_EQ(via_string.ok(), via_prepared.ok())
           << engine->name() << " " << c.name;
       if (via_string.ok()) {
@@ -319,10 +320,10 @@ TEST(CorpusTest, CheckedInCorpusReplaysClean) {
   }
 }
 
-// The corpus replay above exercises the columnar path implicitly (the
-// oracle's columnar-vs-prepared property is on by default); this pins it
-// explicitly: every checked-in case, pushed through a ColumnBank, must
-// reproduce the prepared path bit for bit on every columnar-capable engine.
+// The corpus replay above exercises the column views implicitly (the
+// oracle's string-vs-columnar property); this pins it explicitly: every
+// checked-in case, pushed through a ColumnBank, must reproduce the
+// one-record holder bit for bit on every engine.
 TEST(CorpusTest, CheckedInCorpusReplaysThroughColumnar) {
   auto corpus = LoadCorpus(kCorpusDir);
   ASSERT_TRUE(corpus.ok()) << corpus.status().message();
@@ -335,7 +336,7 @@ TEST(CorpusTest, CheckedInCorpusReplaysThroughColumnar) {
     auto c = Canonicalize((*corpus)[i]);
     ASSERT_TRUE(c.ok()) << (*corpus)[i].name;
     const PreparedReference ref(c->p, c->wm);
-    PreparedRecord pr(c->r, ref);
+    const PreparedRecord holder(c->r, ref);
     ColumnBank bank(ref);
     bank.Append(c->r);
     const ColumnRecordView v = bank.view(0);
@@ -345,13 +346,13 @@ TEST(CorpusTest, CheckedInCorpusReplaysThroughColumnar) {
           static_cast<const LeakageEngine*>(&exact),
           static_cast<const LeakageEngine*>(&approx),
           static_cast<const LeakageEngine*>(&autoe)}) {
-      const auto lp = engine->RecordLeakagePrepared(pr, ref, &ws);
+      const auto lp = engine->RecordLeakageColumnar(holder.view(), ref, &ws);
       const auto lc = engine->RecordLeakageColumnar(v, ref, &cws);
       ASSERT_EQ(lp.ok(), lc.ok()) << engine->name() << " " << c->name;
       if (lp.ok()) {
         EXPECT_EQ(*lp, *lc) << engine->name() << " " << c->name;
       }
-      const auto rp = engine->ExpectedRecallPrepared(pr, ref, &ws);
+      const auto rp = engine->ExpectedRecallColumnar(holder.view(), ref, &ws);
       const auto rc = engine->ExpectedRecallColumnar(v, ref, &cws);
       ASSERT_EQ(rp.ok(), rc.ok()) << engine->name() << " " << c->name;
       if (rp.ok()) {
