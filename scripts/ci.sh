@@ -240,7 +240,7 @@ smoke_inc() {
   echo "${answer_before}" | grep -q '"records":21'
   local stats_out
   stats_out="$("${bin}" call --port "${port}" --verb stats)"
-  echo "${stats_out}" | grep -q '"index":{"enabled":true'
+  echo "${stats_out}" | grep -q '"index":{"registered":[1-9]'
   echo "${stats_out}" | grep -Eq '"hits":[1-9]'
   echo "${stats_out}" | grep -Eq '"invalidations":[1-9]'
   # kill -9: recovery replays snapshot+WAL and rebuilds the index; the

@@ -328,8 +328,9 @@ class DurableChecker {
 /// columnar rescan of a mirror database held offline. The materialized
 /// view must never drift from the scan it stands in for, on any prefix of
 /// the interleaving, including across WAL resets (`compact` → epoch bump →
-/// rebuild) and across engines the index refuses (poisoned → scan
-/// fallback must still match).
+/// background rebuild, or inline catch-up when a query gets there first)
+/// and across engine errors (a poisoned index must return the scan's
+/// first error — wire code and message — on every later query).
 class IncChecker {
  public:
   explicit IncChecker(std::string dir) : dir_(std::move(dir)) {}
@@ -343,19 +344,14 @@ class IncChecker {
     INFOLEAK_ASSIGN_OR_RETURN(std::unique_ptr<persist::DurableStore> store,
                               persist::DurableStore::Open(dir_, options));
     {
-      // Small inline-catch-up window so the interleaving actually exercises
-      // the background-rebuild fallback, not just inline deltas.
-      svc::ServiceConfig service_config;
-      service_config.index_inline_catchup = 64;
-      svc::LoopbackServer server(store.get(), svc::ServerConfig{},
-                                 service_config);
+      svc::LoopbackServer server(store.get());
       INFOLEAK_RETURN_IF_ERROR(server.Start());
       INFOLEAK_ASSIGN_OR_RETURN(svc::Client client, server.NewClient());
 
       // Query pool: a handful of generated references, each pinned to one
       // engine so every columnar engine sees the interleaving — including
       // naive/exact, whose structural errors must poison the index into
-      // the bit-identical scan fallback rather than a wrong answer, and the
+      // returning the scan's own error rather than a wrong answer, and the
       // measure family, whose per-engine indexes must never leak a stale
       // default-measure answer. The last four names are measures and travel
       // as the wire's "measure" field.
@@ -378,17 +374,21 @@ class IncChecker {
         const char* engine_name = kEngines[which % kNumEngines];
         const bool is_measure = (which % kNumEngines) >= 4;
         ++*comparisons;
-        // Wire answer through the served, index-backed path.
-        svc::JsonValue body = svc::JsonValue::Object();
-        body.Set("reference", svc::JsonValue::Str(FormatRecord(c.p)));
+        // Wire answer through the served, index-backed path, read raw so an
+        // error keeps its wire code and message.
+        svc::JsonValue request = svc::JsonValue::Object();
+        request.Set("verb", svc::JsonValue::Str("set-leak"));
+        request.Set("reference", svc::JsonValue::Str(FormatRecord(c.p)));
         const std::string weights = FormatWeights(c.wm);
         if (!weights.empty()) {
-          body.Set("weights", svc::JsonValue::Str(weights));
+          request.Set("weights", svc::JsonValue::Str(weights));
         }
-        body.Set(is_measure ? "measure" : "engine",
-                 svc::JsonValue::Str(engine_name));
-        Result<svc::JsonValue> wire =
-            client.CallVerb("set-leak", std::move(body));
+        request.Set(is_measure ? "measure" : "engine",
+                    svc::JsonValue::Str(engine_name));
+        INFOLEAK_ASSIGN_OR_RETURN(std::string line,
+                                  client.CallRaw(request.Render()));
+        INFOLEAK_ASSIGN_OR_RETURN(svc::JsonValue wire, svc::ParseJson(line));
+        const bool wire_ok = wire.GetBool("ok", false);
         // Cold rescan of the mirror prefix, built from scratch every time.
         const PreparedReference prep(c.p, c.wm);
         ColumnBank bank(prep);
@@ -400,20 +400,34 @@ class IncChecker {
                                std::to_string(appends) + " append(s), " +
                                std::to_string(compacts) +
                                " compact(s), engine " + engine_name + ")";
-        if (wire.ok() != rescan.ok()) {
+        if (wire_ok != rescan.ok()) {
           findings->push_back(Finding{
               "inc-interleave",
-              at + ": wire " +
-                  (wire.ok() ? "answered" : wire.status().message()) +
+              at + ": wire " + (wire_ok ? "answered" : line) +
                   " but cold rescan " +
-                  (rescan.ok() ? "answered" : rescan.status().message()),
+                  (rescan.ok() ? "answered" : rescan.status().ToString()),
               c});
           return Status::OK();
         }
-        if (!wire.ok()) return Status::OK();  // both failing is agreement
-        const double got = wire->GetNumber("leakage", -1.0);
-        const double got_argmax = wire->GetNumber("argmax", -2.0);
-        const double got_records = wire->GetNumber("records", -1.0);
+        if (!wire_ok) {
+          // Both failed: the wire must carry the scan's own first error.
+          const std::string code = wire.GetString("code");
+          const std::string message = wire.GetString("error");
+          if (code != svc::WireCode(rescan.status()) ||
+              message != rescan.status().message()) {
+            findings->push_back(Finding{
+                "inc-interleave",
+                at + ": wire error " + code + " '" + message +
+                    "' vs cold rescan " +
+                    std::string(svc::WireCode(rescan.status())) + " '" +
+                    rescan.status().message() + "'",
+                c});
+          }
+          return Status::OK();
+        }
+        const double got = wire.GetNumber("leakage", -1.0);
+        const double got_argmax = wire.GetNumber("argmax", -2.0);
+        const double got_records = wire.GetNumber("records", -1.0);
         if (got != *rescan ||
             got_argmax != static_cast<double>(want_argmax) ||
             got_records != static_cast<double>(mirror.size())) {

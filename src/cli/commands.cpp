@@ -210,10 +210,6 @@ constexpr FlagDoc kServeFlags[] = {
                           "(default 25)"},
     {"snapshot-every", "background-snapshot every N appends; 0 disables "
                        "(default 0)"},
-    {"no-index", "disable the incremental leakage index; every set-leak "
-                 "rescans and `subscribe` is refused"},
-    {"index-topk", "top-k entries each leakage index maintains; the k-th "
-                   "value is the bounds-skip threshold (default 8)"},
 };
 
 constexpr FlagDoc kCallFlags[] = {
@@ -1230,13 +1226,6 @@ Status RunServe(const FlagSet& flags, std::string* out) {
                             service_config.max_cached_references);
   if (!cache_refs.ok()) return cache_refs.status();
   service_config.max_cached_references = *cache_refs;
-  service_config.enable_index = !flags.Has("no-index");
-  auto index_topk = GetSize(flags, "index-topk", service_config.index_top_k);
-  if (!index_topk.ok()) return index_topk.status();
-  if (*index_topk == 0) {
-    return Status::InvalidArgument("--index-topk must be >= 1");
-  }
-  service_config.index_top_k = *index_topk;
 
   svc::ServerConfig config;
   config.host = flags.GetString("host", config.host);

@@ -32,8 +32,8 @@ namespace infoleak {
 ///
 /// Lifetime: the bank borrows `ref`, which must outlive it. Thread safety:
 /// concurrent readers are safe; appends need external synchronization
-/// against readers (see RecordStore::SetLeakColumnar for the serving-side
-/// locking pattern).
+/// against readers (see RecordStore::SetLeakColumnar for a shared-bank
+/// locking pattern; a LeakageIndex guards its bank with its own mutex).
 class ColumnBank {
  public:
   explicit ColumnBank(const PreparedReference& ref);

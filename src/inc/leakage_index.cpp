@@ -79,9 +79,9 @@ Status LeakageIndex::ApplyOneLocked(const Record& record) {
   if (!skipped) {
     Result<double> l = BankRecordLeakage(bank_, i, *engine_, &ws_);
     if (!l.ok()) {
-      // Poison: the materialized view can no longer stand in for a scan.
-      // Queries report FailedPrecondition from here on and the caller's
-      // full-scan fallback reproduces the scan's first-error exactly.
+      // Poison: records apply in id order and none that could fail is
+      // skipped, so this is the scan's first error; queries return it
+      // unchanged until an epoch bump resets the index.
       leak_.push_back(0.0);
       exact_.push_back(0);
       poisoned_ = true;
@@ -162,10 +162,7 @@ Result<IndexAnswer> LeakageIndex::QueryLocked(
     obs::RequestContext* ctx) {
   obs::TraceSpan span("inc/query");
   std::unique_lock lock(mu_);
-  if (poisoned_) {
-    return Status::FailedPrecondition("leakage index poisoned: " +
-                                      poison_.message());
-  }
+  if (poisoned_) return poison_;
   if (bank_.size() > db.size()) {
     return Status::Internal(
         "leakage index covers " + std::to_string(bank_.size()) +
@@ -182,8 +179,8 @@ Result<IndexAnswer> LeakageIndex::QueryLocked(
   if (ctx != nullptr) ctx->set_kernel_variant(kern::Active().name);
   if (behind > 0) {
     // The delta is real evaluation work (each new record runs the columnar
-    // kernel), so it is charged to the eval phase like the scan it
-    // replaces; a steady-state hit charges nothing.
+    // kernel), so it is charged to the eval phase like a scan would be; a
+    // steady-state hit charges nothing.
     obs::PhaseTimer eval_phase(ctx, obs::Phase::kEval);
     std::size_t evaluated = 0;
     while (bank_.size() < db.size()) {
@@ -193,10 +190,7 @@ Result<IndexAnswer> LeakageIndex::QueryLocked(
             " of " + std::to_string(behind) + " records");
       }
       ++evaluated;
-      if (!ApplyOneLocked(db[bank_.size()]).ok()) {
-        return Status::FailedPrecondition("leakage index poisoned: " +
-                                          poison_.message());
-      }
+      INFOLEAK_RETURN_IF_ERROR(ApplyOneLocked(db[bank_.size()]));
     }
   }
   if (ctx != nullptr) ctx->AddRecordsScanned(behind);

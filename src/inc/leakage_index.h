@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -25,9 +26,10 @@ struct IndexOptions {
   /// ids). k >= 1; the k-th value is the bound-skip threshold.
   std::size_t top_k = 8;
   /// Largest store-vs-index gap a query will close inline (charged to the
-  /// catch-up phase). Beyond it the query reports the index unusable (the
-  /// caller falls back to a scan) and a background rebuild is scheduled.
-  std::size_t inline_catchup_max = 4096;
+  /// eval phase). Unbounded by default: a cold or far-behind index catches
+  /// up on the query that needs it. A finite cap makes a query beyond it
+  /// fail with FailedPrecondition and schedule a background rebuild.
+  std::size_t inline_catchup_max = std::numeric_limits<std::size_t>::max();
   /// Records applied per background-maintenance chunk. The store's writer
   /// gate is held per chunk, so this bounds append stalls during rebuild.
   std::size_t maintenance_chunk = 2048;
@@ -78,22 +80,25 @@ struct IndexStats {
 /// leakages. Maintained incrementally from the change feed — each append
 /// extends the index's own `ColumnBank` by one record and evaluates just
 /// that record through the engine's columnar kernel — so an index-backed
-/// set-leak answers from the maintained maximum plus at most a small
-/// catch-up delta, instead of rescanning |R| records.
+/// set-leak answers from the maintained maximum plus a catch-up delta,
+/// instead of rescanning |R| records. It is the service's only set-leak
+/// path: a cold index catches up over the whole store on its first query.
 ///
-/// Bit-identity contract: the maintained (max, argmax) equals what a cold
-/// `SetLeakageColumnar` over the same records returns, bit for bit. The
-/// maintainer reproduces the scan's first-strictly-greater argmax rule, and
-/// the bounds-based skip only ever suppresses evaluations that provably
-/// cannot enter the top-k (upper bound ≤ current k-th value — and since the
-/// k-th value never exceeds the maximum, cannot change the answer). Any
-/// evaluation error poisons the index permanently: every later query
-/// reports it unusable and the caller's full-scan fallback reproduces the
-/// scan's exact first-error behavior. The skip is additionally restricted
-/// to engines whose only failure mode is non-finite arithmetic (auto,
-/// approx) — such failures surface as non-finite bounds and force the exact
-/// evaluation — never to engines with structural errors invisible to the
-/// bounds (naive's record-size cap, exact's uniform-weight requirement).
+/// Bit-identity contract: every answer — value, argmax or error — equals
+/// what a cold `SetLeakageColumnar` over the same records returns, bit for
+/// bit. The maintainer reproduces the scan's first-strictly-greater argmax
+/// rule, and the bounds-based skip only ever suppresses evaluations that
+/// provably cannot enter the top-k (upper bound ≤ current k-th value — and
+/// since the k-th value never exceeds the maximum, cannot change the
+/// answer). The skip is restricted to engines whose only failure mode is
+/// non-finite arithmetic (auto, approx) — such failures surface as
+/// non-finite bounds and force the exact evaluation — never to engines with
+/// structural errors invisible to the bounds (naive's record-size cap,
+/// exact's uniform-weight requirement). So records are evaluated in id
+/// order and none that could fail is skipped: the first evaluation error
+/// is the scan's first error. It poisons the index until the next epoch
+/// bump, and every query returns that status unchanged, whatever has been
+/// appended since.
 ///
 /// The index owns private copies of the reference, weight model, and
 /// prepared form, so its lifetime is independent of the svc cache entry
@@ -132,13 +137,13 @@ class LeakageIndex final : public DeltaSink,
 
   // ----- Store-called entry points (store reader lock held) ----------------
 
-  /// Answers set-leak from the materialized view, closing any small gap
-  /// inline first (charged to the eval phase of `ctx` — the delta is real
-  /// kernel work). Failure modes:
-  /// DeadlineExceeded when `cancel` fires mid-catch-up (same contract as the
-  /// scan path), FailedPrecondition when the index is unusable — poisoned,
-  /// or too far behind (a background rebuild is then scheduled) — which the
-  /// caller must treat as "fall back to a full scan".
+  /// Answers set-leak from the materialized view, closing any gap inline
+  /// first (charged to the eval phase of `ctx` — the delta is real kernel
+  /// work). Failure modes, each what a cold `SetLeakageColumnar` over `db`
+  /// would return: the poison status, unchanged, once an evaluation has
+  /// failed; DeadlineExceeded when `cancel` fires mid-catch-up. Only a
+  /// finite `inline_catchup_max` adds one more: FailedPrecondition when
+  /// the gap exceeds it (a background rebuild is then scheduled).
   Result<IndexAnswer> QueryLocked(const Database& db,
                                   const std::function<bool()>& cancel = {},
                                   obs::RequestContext* ctx = nullptr);

@@ -135,24 +135,6 @@ std::vector<RecordId> RecordStore::Lookup(std::string_view label,
   return index_.Postings(label, value);
 }
 
-Result<double> RecordStore::Leakage(const Record& p, const WeightModel& wm,
-                                    const LeakageEngine& engine) const {
-  const PreparedReference ref(p, wm);
-  std::shared_lock lock(mu_);
-  return SetLeakage(db_, ref, engine);
-}
-
-Result<double> RecordStore::SetLeak(const PreparedReference& ref,
-                                    const LeakageEngine& engine,
-                                    std::ptrdiff_t* argmax,
-                                    const std::function<bool()>& cancel,
-                                    obs::RequestContext* ctx) const {
-  obs::PhaseTimer eval_phase(ctx, obs::Phase::kEval);
-  std::shared_lock lock(mu_);
-  if (ctx != nullptr) ctx->AddRecordsScanned(db_.size());
-  return SetLeakageArgMax(db_, ref, engine, argmax, cancel);
-}
-
 Result<double> RecordStore::SetLeakColumnar(
     ColumnBank& bank, std::shared_mutex& bank_mu, const LeakageEngine& engine,
     std::ptrdiff_t* argmax, const std::function<bool()>& cancel,

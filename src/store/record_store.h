@@ -32,14 +32,14 @@ namespace infoleak {
 /// fraction of the match calls.
 ///
 /// Thread safety: an internal `std::shared_mutex` makes one store safe to
-/// share between concurrent readers (`Get`, `Lookup`, `Dossier`, `Leakage`,
-/// `SetLeak`, `Flush`, `size`) and a writer (`Append`) — the contract the
-/// `infoleak serve` worker pool relies on. Each read holds the lock shared
-/// for its whole duration, so a set-leakage scan sees one consistent
-/// snapshot while appends queue behind it. The reference accessors
-/// `database()`/`index()` are unsynchronized views: callers must quiesce
-/// writers before using them. Moves are not synchronized; move a store only
-/// before sharing it.
+/// share between concurrent readers (`Get`, `Lookup`, `Dossier`,
+/// `SetLeakIndexed`, `SetLeakColumnar`, `Flush`, `size`) and a writer
+/// (`Append`) — the contract the `infoleak serve` worker pool relies on.
+/// Each read holds the lock shared for its whole duration, so a set-leakage
+/// query sees one consistent snapshot while appends queue behind it. The
+/// reference accessors `database()`/`index()` are unsynchronized views:
+/// callers must quiesce writers before using them. Moves are not
+/// synchronized; move a store only before sharing it.
 class RecordStore {
  public:
   RecordStore() = default;
@@ -94,47 +94,30 @@ class RecordStore {
                          const std::vector<std::string>& labels = {},
                          std::vector<RecordId>* members = nullptr) const;
 
-  /// Set leakage of the stored database against person `p`: prepares `p`
-  /// once and scores every stored record through one reusable holder.
-  Result<double> Leakage(const Record& p, const WeightModel& wm,
-                         const LeakageEngine& engine) const;
-
-  /// Serving-path set leakage against a caller-prepared reference (reused
-  /// across requests), with optional arg-max reporting and cancellation —
-  /// `cancel` is polled periodically mid-scan so a deadline can abort a
-  /// long evaluation with DeadlineExceeded. Holds the read lock for the
-  /// whole scan: one consistent snapshot, bit-identical to `Leakage` on a
-  /// quiescent store. `ctx` (optional, borrowed for the call) receives
-  /// eval-phase attribution and the records-scanned count.
-  Result<double> SetLeak(const PreparedReference& ref,
-                         const LeakageEngine& engine,
-                         std::ptrdiff_t* argmax = nullptr,
-                         const std::function<bool()>& cancel = {},
-                         obs::RequestContext* ctx = nullptr) const;
-
-  /// Columnar serving path: extends the caller's `bank` with any records
-  /// appended since its last use (under `bank_mu` exclusive), then scans it
-  /// via SetLeakageColumnar (under `bank_mu` shared) — so repeat queries
-  /// against one cached reference pay string resolution only for records
-  /// new since the previous query. The bank must have been built against
-  /// this store's database (it grows only through this method); the store's
-  /// read lock is held throughout for one consistent snapshot. Results are
-  /// bit-identical to `SetLeak` with the same reference. `ctx` (optional)
-  /// splits the time into catch-up (bank extension) and eval (the scan)
-  /// phases and reports records scanned plus the kernel variant.
+  /// Cold-scan set leakage over a caller-owned bank: extends `bank` with
+  /// any records appended since its last use (under `bank_mu` exclusive),
+  /// then scans it via SetLeakageColumnar (under `bank_mu` shared), with
+  /// optional arg-max reporting and cancellation — `cancel` is polled
+  /// mid-scan so a deadline can abort with DeadlineExceeded. The bank must
+  /// have been built against this store's database (it grows only through
+  /// this method); the store's read lock is held throughout for one
+  /// consistent snapshot, so results are bit-identical to
+  /// SetLeakageArgMax over `SnapshotDatabase()`. The service answers from
+  /// its indexes instead; this is the scan they are checked against.
+  /// `ctx` (optional) splits the time into catch-up (bank extension) and
+  /// eval (the scan) phases and reports records scanned plus the kernel
+  /// variant.
   Result<double> SetLeakColumnar(ColumnBank& bank, std::shared_mutex& bank_mu,
                                  const LeakageEngine& engine,
                                  std::ptrdiff_t* argmax = nullptr,
                                  const std::function<bool()>& cancel = {},
                                  obs::RequestContext* ctx = nullptr) const;
 
-  /// Index-backed serving path: answers set-leak from a materialized
-  /// `LeakageIndex` under the store's read lock (one consistent snapshot —
-  /// the same guarantee the scan paths give). The index closes any small
-  /// gap inline; see LeakageIndex::QueryLocked for the failure contract
-  /// (FailedPrecondition = "fall back to a scan", DeadlineExceeded =
-  /// cancelled). Answers are bit-identical to `SetLeakColumnar` with the
-  /// same reference and engine.
+  /// Serving path: answers set-leak from a materialized `LeakageIndex`
+  /// under the store's read lock (one consistent snapshot). The index
+  /// closes any gap inline; see LeakageIndex::QueryLocked for the failure
+  /// contract. Answers and errors are bit-identical to `SetLeakColumnar`
+  /// with the same reference and engine.
   Result<inc::IndexAnswer> SetLeakIndexed(
       inc::LeakageIndex& index, const std::function<bool()>& cancel = {},
       obs::RequestContext* ctx = nullptr) const;

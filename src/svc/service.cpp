@@ -39,11 +39,11 @@ std::string_view SpanName(const std::string& verb) {
   return "svc/unknown";
 }
 
-obs::Counter& IndexCounter(const char* result) {
-  return obs::MetricsRegistry::Global().GetCounter(
-      "infoleak_inc_index_queries_total", {{"result", result}},
-      "Index-backed set-leak attempts, by outcome (hit = answered from the "
-      "materialized index, fallback = fell back to a full scan)");
+obs::Counter& IndexHitCounter() {
+  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
+      "infoleak_inc_index_queries_total", {{"result", "hit"}},
+      "Set-leak queries answered from the materialized index");
+  return c;
 }
 
 /// One event-log entry as a response-embeddable JSON object — the same
@@ -141,14 +141,14 @@ Result<long long> GetIndex(const JsonValue& body, std::string_view key) {
 LeakageService::LeakageService(RecordStore store, ServiceConfig config)
     : store_(std::move(store)), config_(std::move(config)) {
   if (config_.max_cached_references == 0) config_.max_cached_references = 1;
-  if (config_.enable_index) ActiveStore().SetChangeFeed(&feed_);
+  ActiveStore().SetChangeFeed(&feed_);
 }
 
 LeakageService::LeakageService(persist::DurableStore* durable,
                                ServiceConfig config)
     : durable_(durable), config_(std::move(config)) {
   if (config_.max_cached_references == 0) config_.max_cached_references = 1;
-  if (config_.enable_index) ActiveStore().SetChangeFeed(&feed_);
+  ActiveStore().SetChangeFeed(&feed_);
 }
 
 LeakageService::~LeakageService() {
@@ -165,11 +165,8 @@ std::shared_ptr<inc::LeakageIndex> LeakageService::GetOrCreateIndex(
   for (const auto& [eng, index] : entry.indexes) {
     if (eng == engine) return index;
   }
-  inc::IndexOptions options;
-  options.top_k = config_.index_top_k;
-  options.inline_catchup_max = config_.index_inline_catchup;
   auto index = std::make_shared<inc::LeakageIndex>(
-      entry.reference, entry.weights, engine, &feed_, options,
+      entry.reference, entry.weights, engine, &feed_, inc::IndexOptions{},
       [store = &ActiveStore()](inc::LeakageIndex& idx) {
         return store->MaintainIndex(idx);
       });
@@ -371,42 +368,20 @@ Result<JsonValue> LeakageService::Dispatch(
     if (!entry.ok()) return entry.status();
     auto engine = PickEngine(body);
     if (!engine.ok()) return engine.status();
-    std::ptrdiff_t argmax = -1;
-    Result<double> leakage = 0.0;
-    bool answered = false;
-    std::string path = "scan";
-    // Fast path: the materialized index answers from its maintained maximum
-    // plus a small catch-up delta. Unusable-index errors (poisoned, too far
-    // behind) fall through to the scan — which is bit-identical, including
-    // any evaluation error a poisoned index is hiding — while a cancelled
-    // catch-up propagates like a cancelled scan would.
-    if (config_.enable_index) {
-      auto index = GetOrCreateIndex(**entry, *engine);
-      auto ans = ActiveStore().SetLeakIndexed(*index, cancel, ctx);
-      if (ans.ok()) {
-        leakage = ans->leakage;
-        argmax = ans->argmax;
-        answered = true;
-        path = "index";
-        IndexCounter("hit").Inc();
-      } else if (ans.status().IsDeadlineExceeded()) {
-        return ans.status();
-      } else {
-        IndexCounter("fallback").Inc();
-      }
-    }
-    // Otherwise scan the entry's cached bank, extended with any records
-    // appended since the last query.
-    if (!answered) {
-      leakage = ActiveStore().SetLeakColumnar((*entry)->bank, (*entry)->bank_mu,
-                                              **engine, &argmax, cancel, ctx);
-    }
-    if (!leakage.ok()) return leakage.status();
-    out.Set("leakage", JsonValue::Number(*leakage));
-    out.Set("argmax", JsonValue::Number(static_cast<double>(argmax)));
+    // The reference's index answers from its maintained maximum after
+    // catching up on whatever it has not seen (the whole store when cold).
+    // Its errors — a poisoned index's first evaluation error, a cancelled
+    // catch-up — are the ones a cold scan would return.
+    auto index = GetOrCreateIndex(**entry, *engine);
+    auto ans = ActiveStore().SetLeakIndexed(*index, cancel, ctx);
+    if (!ans.ok()) return ans.status();
+    IndexHitCounter().Inc();
+    out.Set("leakage", JsonValue::Number(ans->leakage));
+    out.Set("argmax", JsonValue::Number(static_cast<double>(ans->argmax)));
     out.Set("records",
             JsonValue::Number(static_cast<double>(ActiveStore().size())));
-    out.Set("path", JsonValue::Str(path));
+    // Always "index"; kept so existing clients keep parsing.
+    out.Set("path", JsonValue::Str("index"));
     return out;
   }
 
@@ -457,11 +432,6 @@ Result<JsonValue> LeakageService::Dispatch(
   }
 
   if (req.verb == "subscribe") {
-    if (!config_.enable_index) {
-      return Status::FailedPrecondition(
-          "subscribe needs the incremental index (the service runs with "
-          "--no-index)");
-    }
     auto entry = [&] {
       obs::PhaseTimer parse_phase(ctx, obs::Phase::kParse);
       return PrepareReference(body);
@@ -489,8 +459,8 @@ Result<JsonValue> LeakageService::Dispatch(
       return Status::InvalidArgument("\"wait_ms\" must be in [0, 10000]");
     }
     auto index = GetOrCreateIndex(**entry, *engine);
-    // Prime the index so the first batch reflects the current store; an
-    // unusable index (mid-rebuild) still streams whatever the ring holds.
+    // Prime the index so the first batch reflects the current store; a
+    // poisoned index still streams whatever the ring holds.
     auto primed = ActiveStore().SetLeakIndexed(*index, cancel, ctx);
     if (!primed.ok() && primed.status().IsDeadlineExceeded()) {
       return primed.status();
@@ -566,19 +536,15 @@ Result<JsonValue> LeakageService::Dispatch(
     }
     out.Set("requests", std::move(verbs));
     // Incremental-plane accounting: registered indexes plus the process
-    // counters that prove the fast path and its safety valves fire.
+    // counters that show the index answering and its bound skips firing.
     JsonValue index = JsonValue::Object();
-    index.Set("enabled", JsonValue::Bool(config_.enable_index));
     index.Set("registered",
               JsonValue::Number(static_cast<double>(feed_.registered())));
     index.Set("epoch", JsonValue::Number(static_cast<double>(feed_.epoch())));
     index.Set("appends",
               JsonValue::Number(static_cast<double>(feed_.sequence())));
     index.Set("hits", JsonValue::Number(
-                          static_cast<double>(IndexCounter("hit").Value())));
-    index.Set("fallbacks",
-              JsonValue::Number(
-                  static_cast<double>(IndexCounter("fallback").Value())));
+                          static_cast<double>(IndexHitCounter().Value())));
     static obs::Counter& skips = obs::MetricsRegistry::Global().GetCounter(
         "infoleak_inc_bound_skips_total", {},
         "Delta evaluations skipped because the leakage upper bound proved "

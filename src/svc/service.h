@@ -4,11 +4,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 
-#include "core/column_bank.h"
 #include "core/leakage.h"
 #include "inc/change_feed.h"
 #include "inc/leakage_index.h"
@@ -30,19 +28,6 @@ struct ServiceConfig {
   /// shared_ptrs, so evicting one that a concurrent request still uses is
   /// safe — it dies with its last user.
   std::size_t max_cached_references = 64;
-
-  /// Maintain a materialized `inc::LeakageIndex` per (cached reference,
-  /// engine): `set-leak` answers from the index (an O(1) lookup plus a
-  /// small catch-up delta) with a transparent fall back to the columnar
-  /// scan, and `subscribe` streams per-append leakage deltas. Disable to
-  /// force every query onto the scan path (`serve --no-index`).
-  bool enable_index = true;
-  /// Top-k entries each index maintains (the k-th value is the bounds-skip
-  /// threshold).
-  std::size_t index_top_k = 8;
-  /// Largest store-vs-index gap a query closes inline before falling back
-  /// to a scan and leaving the rebuild to the background thread.
-  std::size_t index_inline_catchup = 4096;
 };
 
 /// \brief The query-service brain, free of any socket: executes one parsed
@@ -56,15 +41,14 @@ struct ServiceConfig {
 /// in a loop: a repeated reference (the common case — one auditor probing
 /// many releases) is interned and prepared once, and every later `leak` /
 /// `set-leak` against it evaluates column views against that cached
-/// prepared reference (inline records through a one-record holder, stored
-/// records through the entry's column bank).
+/// prepared reference.
 ///
-/// The incremental plane (PR 8) goes one step further: each cached entry
-/// can carry per-engine `inc::LeakageIndex` instances registered on the
-/// service's `inc::ChangeFeed`, so the store pushes every append into the
-/// indexes and `set-leak` becomes an index lookup plus a small delta
-/// recompute — bit-identical to the scan it replaces, with an automatic
-/// scan fallback whenever an index is unusable (poisoned, mid-rebuild).
+/// `set-leak` has one path: each cached entry carries per-engine
+/// `inc::LeakageIndex` instances registered on the service's
+/// `inc::ChangeFeed`, so the store pushes every append into the indexes and
+/// a query is an index lookup plus whatever catch-up the index still owes
+/// (the whole store on a reference's first query) — bit-identical to a
+/// cold columnar scan, errors included.
 ///
 /// Verbs: `ping`, `append`, `leak`, `set-leak`, `resolve`, `subscribe`,
 /// `compact`, `stats`, `tail`, `frontier` — see protocol.h for the wire
@@ -112,24 +96,18 @@ class LeakageService {
  private:
   /// Owns the strings a cached PreparedReference points into. Constructed
   /// in place on the heap and never moved afterwards, so the interior
-  /// pointers stay valid for the entry's lifetime. The entry also carries
-  /// the reference's column bank — the structure-of-arrays copy of the
-  /// store that set-leak scans stream instead of re-preparing records —
-  /// which RecordStore::SetLeakColumnar extends lazily under `bank_mu`
-  /// (mutable: the bank is an evaluation cache, not entry identity, and
-  /// entries are shared as pointers-to-const).
+  /// pointers stay valid for the entry's lifetime.
   struct PreparedEntry {
     Record reference;
     WeightModel weights;
     PreparedReference prepared;
-    mutable std::shared_mutex bank_mu;
-    mutable ColumnBank bank;
-    /// Per-engine materialized leakage indexes (lazily created on the first
-    /// index-eligible query; a handful at most, so a flat vector keyed by
-    /// engine pointer). Mutable for the same reason the bank is: indexes
-    /// are evaluation caches, not entry identity. When the entry is evicted
-    /// and dies, its indexes die with it — the feed holds them weakly — and
-    /// a re-prepared entry starts fresh (rebuild-on-eviction).
+    /// Per-engine materialized leakage indexes, each holding its own column
+    /// bank (lazily created on the first `set-leak`/`subscribe`; a handful
+    /// at most, so a flat vector keyed by engine pointer). Mutable because
+    /// indexes are evaluation caches, not entry identity, and entries are
+    /// shared as pointers-to-const. When the entry is evicted and dies, its
+    /// indexes die with it — the feed holds them weakly — and a re-prepared
+    /// entry starts fresh (rebuild-on-eviction).
     mutable std::mutex index_mu;
     mutable std::vector<
         std::pair<const LeakageEngine*, std::shared_ptr<inc::LeakageIndex>>>
@@ -137,8 +115,7 @@ class LeakageService {
     PreparedEntry(Record r, WeightModel w)
         : reference(std::move(r)),
           weights(std::move(w)),
-          prepared(reference, weights),
-          bank(prepared) {}
+          prepared(reference, weights) {}
   };
 
   Result<std::shared_ptr<const PreparedEntry>> PrepareReference(

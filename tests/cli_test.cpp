@@ -117,10 +117,6 @@ TEST(CliTest, ServeHelpGoldenOutput) {
       "(default 25)\n"
       "  --snapshot-every     background-snapshot every N appends; 0 "
       "disables (default 0)\n"
-      "  --no-index           disable the incremental leakage index; every "
-      "set-leak rescans and `subscribe` is refused\n"
-      "  --index-topk         top-k entries each leakage index maintains; "
-      "the k-th value is the bounds-skip threshold (default 8)\n"
       "\n"
       "observability riders (accepted by every command):\n"
       "  --stats              append a metrics report to the command "

@@ -473,7 +473,8 @@ TEST(ColumnarConcurrencyTest, ConcurrentQueriesAndAppends) {
   // Quiescent: the final scan must agree bit-for-bit with the
   // record-at-a-time scan over the full store.
   std::ptrdiff_t want_arg = -2, got_arg = -2;
-  const auto want = store.SetLeak(ref, engine, &want_arg);
+  const auto want =
+      SetLeakageArgMax(store.SnapshotDatabase(), ref, engine, &want_arg);
   const auto got = store.SetLeakColumnar(bank, bank_mu, engine, &got_arg);
   ASSERT_TRUE(want.ok());
   ASSERT_TRUE(got.ok());

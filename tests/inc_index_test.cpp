@@ -263,22 +263,33 @@ TEST(IncIndexTest, StructuralErrorEnginesNeverSkip) {
   LeakageIndex index(p, wm, &tiny, nullptr);
   auto got = index.QueryLocked(db);
   ASSERT_FALSE(got.ok());
-  EXPECT_TRUE(got.status().IsFailedPrecondition()) << got.status().ToString();
 
   const IndexStats stats = index.Stats();
   EXPECT_TRUE(stats.poisoned);
   EXPECT_FALSE(stats.poison_detail.empty());
   EXPECT_EQ(stats.bound_skips, 0u);
 
-  // The fallback scan reproduces the same first error.
+  // The poisoned query returns the cold scan's own first error.
   const PreparedReference prep(p, wm);
   ColumnBank bank(prep);
   bank.ExtendFrom(db);
   auto scan = SetLeakageColumnar(bank, tiny, nullptr);
-  EXPECT_FALSE(scan.ok());
+  ASSERT_FALSE(scan.ok());
+  EXPECT_EQ(got.status().code(), scan.status().code());
+  EXPECT_EQ(got.status().message(), scan.status().message());
 
-  // Poison is permanent: later queries keep refusing.
-  EXPECT_TRUE(index.QueryLocked(db).status().IsFailedPrecondition());
+  // Poison is permanent until an epoch bump: later queries, even over a
+  // longer store whose new record fails differently, return the same
+  // first error — as the scan does.
+  db.Add(Rec("{<N, alice, 1>, <C, rome, 1>, <P, 123, 1>, <Z, 9, 1>}"));
+  bank.ExtendFrom(db);
+  auto later = index.QueryLocked(db);
+  auto later_scan = SetLeakageColumnar(bank, tiny, nullptr);
+  ASSERT_FALSE(later.ok());
+  ASSERT_FALSE(later_scan.ok());
+  EXPECT_EQ(later.status().code(), later_scan.status().code());
+  EXPECT_EQ(later.status().message(), later_scan.status().message());
+  EXPECT_EQ(later.status().message(), scan.status().message());
 }
 
 TEST(IncIndexTest, EpochBumpResetsAndRebuildRestoresTheAnswer) {

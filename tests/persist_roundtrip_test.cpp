@@ -35,7 +35,8 @@ struct Answers {
 Answers Ask(const RecordStore& store, const PreparedReference& ref,
             const LeakageEngine& engine) {
   std::ptrdiff_t argmax = -1;
-  auto leakage = store.SetLeak(ref, engine, &argmax);
+  auto leakage =
+      SetLeakageArgMax(store.SnapshotDatabase(), ref, engine, &argmax);
   EXPECT_TRUE(leakage.ok()) << leakage.status().ToString();
   return {leakage.value_or(-1.0), argmax};
 }

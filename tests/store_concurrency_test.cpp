@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/column_bank.h"
 #include "core/leakage.h"
 #include "core/record_io.h"
 #include "store/inverted_index.h"
@@ -96,6 +98,10 @@ TEST(StoreConcurrencyTest, StoreReadersRaceOneAppenderSafely) {
   auto weights = WeightModel::Parse("");
   ASSERT_TRUE(weights.ok());
   const PreparedReference prepared(*reference, *weights);
+  // One bank shared by every reader, as a served reference's would be:
+  // catch-up under its writer lock races the other readers' scans.
+  ColumnBank bank(prepared);
+  std::shared_mutex bank_mu;
   AutoLeakage engine;
   StartGate gate;
 
@@ -112,7 +118,7 @@ TEST(StoreConcurrencyTest, StoreReadersRaceOneAppenderSafely) {
       gate.ArriveAndWait();
       for (int i = 0; i < 40; ++i) {
         std::ptrdiff_t argmax = -1;
-        auto leakage = store.SetLeak(prepared, engine, &argmax);
+        auto leakage = store.SetLeakColumnar(bank, bank_mu, engine, &argmax);
         ASSERT_TRUE(leakage.ok()) << leakage.status().ToString();
         ASSERT_GE(*leakage, 0.0);
         ASSERT_GE(argmax, 0);  // reference matches records in every snapshot
@@ -132,7 +138,7 @@ TEST(StoreConcurrencyTest, StoreReadersRaceOneAppenderSafely) {
 
   // Quiesced store answers identically to a cold scan over the same data.
   std::ptrdiff_t argmax = -1;
-  auto final_leak = store.SetLeak(prepared, engine, &argmax);
+  auto final_leak = store.SetLeakColumnar(bank, bank_mu, engine, &argmax);
   ASSERT_TRUE(final_leak.ok());
   std::ptrdiff_t offline_argmax = -1;
   auto offline = SetLeakageArgMax(store.database(), prepared, engine,

@@ -4,10 +4,12 @@
 
 #include <string>
 
+#include "core/column_bank.h"
 #include "core/leakage.h"
 #include "core/measure_family.h"
 #include "core/record_io.h"
 #include "obs/log.h"
+#include "obs/metrics.h"
 #include "obs/request.h"
 #include "svc/json.h"
 
@@ -398,25 +400,100 @@ TEST(LeakageServiceTest, TailValidatesItsArguments) {
   EXPECT_EQ(code, "invalid_argument");
 }
 
-TEST(LeakageServiceTest, SetLeakReportsItsAnswerPath) {
-  // With the index on (the default) set-leak answers off the materialized
-  // index; with --no-index semantics every query goes to the scan. Both
-  // paths are bit-identical, so only the path tag may differ.
-  LeakageService indexed = MakeService();
-  const std::string line = std::string(R"({"verb":"set-leak",)") +
-                           "\"reference\":" + JsonQuote(kReference) + "}";
-  JsonValue fast = Handle(indexed, line);
-  ASSERT_TRUE(fast.GetBool("ok", false)) << fast.Render();
-  EXPECT_EQ(fast.GetString("path"), "index");
+TEST(LeakageServiceTest, ColdReferenceOnALargeStoreAnswersOffTheIndex) {
+  // A reference's first set-leak catches its index up over the whole store
+  // inline, however large (5000 records is more than a 4096-record inline
+  // cap would allow). The answer comes off the index, bit-identical to a
+  // cold columnar scan, with no background rebuild involved.
+  Database db;
+  for (int i = 0; i < 5000; ++i) {
+    const std::string conf = std::to_string((1 + (i * 37) % 100) / 100.0);
+    auto r = ParseRecord("{<N, " + std::string(i % 3 == 0 ? "Alice" : "Bob") +
+                         ", " + conf + ">, <P, " + std::to_string(i % 7) +
+                         "23, " + conf + ">, <C, 999, 0.5>}");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    db.Add(std::move(r).value());
+  }
+  LeakageService service(RecordStore::FromDatabase(db));
+  obs::Counter& rebuild_chunks = obs::MetricsRegistry::Global().GetCounter(
+      "infoleak_inc_rebuild_chunks_total");
+  const uint64_t chunks_before = rebuild_chunks.Value();
 
-  ServiceConfig config;
-  config.enable_index = false;
-  LeakageService scanning = MakeService(config);
-  JsonValue slow = Handle(scanning, line);
-  ASSERT_TRUE(slow.GetBool("ok", false)) << slow.Render();
-  EXPECT_EQ(slow.GetString("path"), "scan");
-  EXPECT_EQ(fast.GetNumber("leakage", -1.0), slow.GetNumber("leakage", -2.0));
-  EXPECT_EQ(fast.GetNumber("argmax", -1.0), slow.GetNumber("argmax", -2.0));
+  JsonValue out = Handle(service, std::string(R"({"verb":"set-leak",)") +
+                                      "\"reference\":" + JsonQuote(kReference) +
+                                      "}");
+  ASSERT_TRUE(out.GetBool("ok", false)) << out.Render();
+  EXPECT_EQ(out.GetString("path"), "index");
+  EXPECT_EQ(out.GetNumber("records", -1.0), 5000.0);
+
+  auto reference = ParseRecord(kReference);
+  ASSERT_TRUE(reference.ok());
+  const WeightModel unit;
+  const PreparedReference prepared(*reference, unit);
+  ColumnBank bank(prepared);
+  bank.ExtendFrom(service.store().SnapshotDatabase());
+  AutoLeakage engine;
+  std::ptrdiff_t argmax = -1;
+  auto expected = SetLeakageColumnar(bank, engine, &argmax);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(out.GetNumber("leakage", -1.0), *expected);
+  EXPECT_EQ(out.GetNumber("argmax", -2.0), static_cast<double>(argmax));
+  EXPECT_EQ(rebuild_chunks.Value(), chunks_before);
+}
+
+TEST(LeakageServiceTest, EngineErrorsMatchTheColdScanAcrossAppends) {
+  // An engine that fails on a stored record poisons the reference's index;
+  // set-leak must return exactly the cold scan's first error (wire code and
+  // message), and keep returning it after later appends — including one
+  // that fails differently.
+  const std::string big26 = [] {
+    std::string text = "{<N, Alice, 1>";
+    for (int i = 0; i < 25; ++i) {
+      text += ", <X" + std::to_string(i) + ", v, 0.5>";
+    }
+    return text + "}";
+  }();
+  const std::string big27 = big26.substr(0, big26.size() - 1) +
+                            ", <Y, v, 0.5>}";
+  const NaiveLeakage naive;
+  const ExactLeakage exact;
+  struct Case {
+    const char* engine;
+    const char* weights;
+    const LeakageEngine* scan_engine;
+  };
+  for (const Case& c :
+       {Case{"naive", "", &naive}, Case{"exact", "N=2,P=1", &exact}}) {
+    SCOPED_TRACE(c.engine);
+    LeakageService service = MakeService();
+    Handle(service, std::string(R"({"verb":"append","record":)") +
+                        JsonQuote(big26) + "}");
+    const std::string line = std::string(R"({"verb":"set-leak","engine":")") +
+                             c.engine + R"(","weights":")" + c.weights +
+                             R"(","reference":)" + JsonQuote(kReference) + "}";
+    auto reference = ParseRecord(kReference);
+    ASSERT_TRUE(reference.ok());
+    auto weights = WeightModel::Parse(c.weights);
+    ASSERT_TRUE(weights.ok());
+    const PreparedReference prepared(*reference, *weights);
+    for (int round = 0; round < 2; ++round) {
+      ColumnBank bank(prepared);
+      bank.ExtendFrom(service.store().SnapshotDatabase());
+      auto scan = SetLeakageColumnar(bank, *c.scan_engine);
+      ASSERT_FALSE(scan.ok());
+      std::string code;
+      auto response = ParseJson(service.Handle(Req(line), {}, &code));
+      ASSERT_TRUE(response.ok());
+      EXPECT_EQ(code, WireCode(scan.status()));
+      EXPECT_EQ(response->GetString("code"), WireCode(scan.status()));
+      EXPECT_EQ(response->GetString("error"), scan.status().message());
+      // The next round's query runs after two more appends, one of them a
+      // record the engine also rejects.
+      Handle(service, std::string(R"({"verb":"append","record":)") +
+                          JsonQuote(big27) + "}");
+      Handle(service, R"({"verb":"append","record":"{<N, Alice, 1>}"})");
+    }
+  }
 }
 
 TEST(LeakageServiceTest, SubscribeStreamsAppendDeltasWithCursor) {
@@ -450,16 +527,7 @@ TEST(LeakageServiceTest, SubscribeStreamsAppendDeltasWithCursor) {
   EXPECT_EQ(next.GetNumber("cursor", -1.0), 4.0);
 }
 
-TEST(LeakageServiceTest, SubscribeNeedsTheIndexAndValidatesItsArguments) {
-  ServiceConfig config;
-  config.enable_index = false;
-  LeakageService disabled = MakeService(config);
-  const std::string subscribe = std::string(R"({"verb":"subscribe",)") +
-                                "\"reference\":" + JsonQuote(kReference) + "}";
-  JsonValue refused = Handle(disabled, subscribe);
-  EXPECT_FALSE(refused.GetBool("ok", true));
-  EXPECT_NE(refused.GetString("error").find("--no-index"), std::string::npos);
-
+TEST(LeakageServiceTest, SubscribeValidatesItsArguments) {
   LeakageService service = MakeService();
   std::string code;
   service.Handle(Req(std::string(R"({"verb":"subscribe","max_events":0,)") +
@@ -512,10 +580,13 @@ TEST(LeakageServiceTest, StatsReportsIndexAccounting) {
   ASSERT_TRUE(stats.GetBool("ok", false)) << stats.Render();
   const JsonValue* index = stats.Find("index");
   ASSERT_NE(index, nullptr) << stats.Render();
-  EXPECT_TRUE(index->GetBool("enabled", false));
   EXPECT_EQ(index->GetNumber("registered", -1.0), 1.0);
-  // hit/fallback counters are process-global (other tests in this binary
-  // also serve), so only demand they moved, not an exact value.
+  // Every set-leak is answered off an index: there is no switch to report
+  // and no fallback to count.
+  EXPECT_EQ(index->Find("enabled"), nullptr);
+  EXPECT_EQ(index->Find("fallbacks"), nullptr);
+  // The hit counter is process-global (other tests in this binary also
+  // serve), so only demand it moved, not an exact value.
   EXPECT_GE(index->GetNumber("hits", -1.0), 1.0);
   EXPECT_GE(index->GetNumber("invalidations", -1.0), 0.0);
 }
