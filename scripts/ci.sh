@@ -243,6 +243,8 @@ smoke_inc() {
   echo "${stats_out}" | grep -q '"index":{"registered":[1-9]'
   echo "${stats_out}" | grep -Eq '"hits":[1-9]'
   echo "${stats_out}" | grep -Eq '"invalidations":[1-9]'
+  # Memory per served reference is reported: the live index retains bytes.
+  echo "${stats_out}" | grep -Eq '"index":\{[^}]*"bytes":[1-9]'
   # kill -9: recovery replays snapshot+WAL and rebuilds the index; the
   # answer must not move by a bit.
   kill -9 "${pid}"

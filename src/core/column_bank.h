@@ -10,18 +10,20 @@ namespace infoleak {
 
 /// \brief The data-oriented evaluation plane: a batch of records prepared
 /// against one `PreparedReference` and laid out as contiguous per-column
-/// arrays over the reference's interned symbol table — confidence, weight,
-/// label id, and (the workhorse) the precomputed match position of every
-/// attribute in `p`, plus record offset/length and per-record weight
-/// summaries.
+/// arrays over the reference's interned symbol table — confidence, weight
+/// and (the workhorse) the precomputed match position of every attribute
+/// in `p` (20 B per attribute), plus record offset/length and per-record
+/// weight summaries.
 ///
 /// Where a record-at-a-time scan (`PreparedRecord::Assign` per record)
 /// re-resolves two string hashes and one pair lookup per attribute per
-/// scan, a bank resolves them exactly once at append time; a set-leakage
-/// scan over the bank touches nothing but flat arrays. Banks are
-/// incrementally appendable, so a serving layer can keep one bank per
-/// cached reference and extend it as the store grows — the steady state
-/// evaluates thousands of records with zero hashing and zero allocation.
+/// scan, a bank resolves them exactly once at append time; repeated
+/// set-leakage scans over the bank touch nothing but flat arrays. Banks
+/// are incrementally appendable (`ExtendFrom`), which is what cold-scan
+/// callers such as `RecordStore::SetLeakColumnar` use. A bank is a full
+/// copy of the store's columns per reference, so the serving layer keeps
+/// none: its leakage indexes resolve the store's shared `InternedRows`
+/// one record at a time through a `RowTranslation` instead.
 ///
 /// Appends resolve through `AppendRecordColumns`, the same rule the
 /// one-record `PreparedRecord` holder uses, so a bank view and a holder
@@ -69,17 +71,9 @@ class ColumnBank {
 
   /// SoA view of record `i`. Precondition: i < size().
   ColumnRecordView view(std::size_t i) const {
-    const std::size_t begin = static_cast<std::size_t>(offset_[i]);
-    const std::size_t end = static_cast<std::size_t>(offset_[i + 1]);
-    ColumnRecordView v;
-    v.conf = cols_.conf.data() + begin;
-    v.weight = cols_.weight.data() + begin;
-    v.label = cols_.label.data() + begin;
-    v.match_pos = cols_.match_pos.data() + begin;
-    v.size = end - begin;
-    v.uniform_weight = uniform_[i] != 0;
-    v.common_weight = common_weight_[i];
-    return v;
+    return cols_.view(static_cast<std::size_t>(offset_[i]),
+                      static_cast<std::size_t>(offset_[i + 1]),
+                      uniform_[i] != 0, common_weight_[i]);
   }
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <thread>
 
 #include "core/engine_common.h"
@@ -474,24 +475,51 @@ struct ColumnRangeResult {
   Status status = Status::OK();
 };
 
+/// What sharded workers share to stop early. A cancel stops every shard.
+/// An engine error in shard t stops only shards after t: the scan's answer
+/// is then the first error in record order, which lies in shard t or in an
+/// earlier shard that must still run to find it.
+struct ShardStop {
+  std::atomic<bool> cancelled{false};
+  std::atomic<std::size_t> first_failed{
+      std::numeric_limits<std::size_t>::max()};
+
+  void Fail(std::size_t shard) {
+    std::size_t seen = first_failed.load(std::memory_order_relaxed);
+    while (shard < seen && !first_failed.compare_exchange_weak(
+                               seen, shard, std::memory_order_relaxed)) {
+    }
+  }
+};
+
 ColumnRangeResult ScanColumnRange(const ColumnBank& bank,
                                   const LeakageEngine& engine,
                                   std::size_t begin, std::size_t end,
                                   const std::function<bool()>& cancel,
-                                  std::size_t check_every,
-                                  std::atomic<bool>* stop) {
+                                  std::size_t check_every, ShardStop* stop,
+                                  std::size_t shard) {
   ColumnRangeResult out;
   const PreparedReference& p = bank.reference();
   LeakageWorkspace ws;
   ws.ReserveFor(bank.max_record_size(), p.size());
   for (std::size_t i = begin; i < end; ++i) {
     if ((i - begin) % check_every == 0) {
-      if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
-        out.status = Status::DeadlineExceeded("set-leakage scan cancelled");
-        return out;
+      if (stop != nullptr) {
+        if (stop->cancelled.load(std::memory_order_relaxed)) {
+          out.status = Status::DeadlineExceeded("set-leakage scan cancelled");
+          return out;
+        }
+        if (stop->first_failed.load(std::memory_order_relaxed) < shard) {
+          // Never reported: the reduction returns the earlier shard's error.
+          out.status =
+              Status::Internal("shard stopped: an earlier shard failed");
+          return out;
+        }
       }
       if (cancel && cancel()) {
-        if (stop != nullptr) stop->store(true, std::memory_order_relaxed);
+        if (stop != nullptr) {
+          stop->cancelled.store(true, std::memory_order_relaxed);
+        }
         out.status = Status::DeadlineExceeded(
             "set-leakage scan cancelled after " + std::to_string(i - begin) +
             " of " + std::to_string(end - begin) + " records");
@@ -500,7 +528,7 @@ ColumnRangeResult ScanColumnRange(const ColumnBank& bank,
     }
     Result<double> l = engine.RecordLeakageColumnar(bank.view(i), p, &ws);
     if (!l.ok()) {
-      if (stop != nullptr) stop->store(true, std::memory_order_relaxed);
+      if (stop != nullptr) stop->Fail(shard);
       out.status = l.status();
       return out;
     }
@@ -539,14 +567,14 @@ Result<double> SetLeakageColumnar(const ColumnBank& bank,
   ColumnRangeResult reduced;
   if (num_threads <= 1) {
     reduced = ScanColumnRange(bank, engine, 0, bank.size(), options.cancel,
-                              check_every, nullptr);
+                              check_every, nullptr, 0);
     if (!reduced.status.ok()) return reduced.status;
   } else {
     // Contiguous shards: each worker streams one slice of the columns front
     // to back, and reducing in worker order reproduces the serial scan's
     // first-strictly-greater argmax exactly.
     std::vector<ColumnRangeResult> results(num_threads);
-    std::atomic<bool> stop{false};
+    ShardStop stop;
     std::vector<std::thread> workers;
     workers.reserve(num_threads);
     const std::size_t chunk = (bank.size() + num_threads - 1) / num_threads;
@@ -555,7 +583,7 @@ Result<double> SetLeakageColumnar(const ColumnBank& bank,
       const std::size_t end = std::min(bank.size(), begin + chunk);
       workers.emplace_back([&, t, begin, end] {
         results[t] = ScanColumnRange(bank, engine, begin, end, options.cancel,
-                                     check_every, &stop);
+                                     check_every, &stop, t);
       });
     }
     for (auto& w : workers) w.join();
@@ -603,7 +631,14 @@ Result<double> BankRecordLeakage(const ColumnBank& bank, std::size_t index,
   LeakageWorkspace scratch;
   LeakageWorkspace* w = ws != nullptr ? ws : &scratch;
   w->ReserveFor(bank.max_record_size(), p.size());
-  Result<double> l = engine.RecordLeakageColumnar(bank.view(index), p, w);
+  return ViewRecordLeakage(bank.view(index), p, engine, w);
+}
+
+Result<double> ViewRecordLeakage(const ColumnRecordView& v,
+                                 const PreparedReference& p,
+                                 const LeakageEngine& engine,
+                                 LeakageWorkspace* ws) {
+  Result<double> l = engine.RecordLeakageColumnar(v, p, ws);
   if (l.ok()) ColumnarPathCounter().Inc(1);
   return l;
 }
@@ -617,9 +652,7 @@ Result<double> HolderRecordLeakage(const Record& r, const PreparedReference& p,
   PreparedRecord* h = holder != nullptr ? holder : &scratch_holder;
   LeakageWorkspace* w = ws != nullptr ? ws : &scratch_ws;
   h->Assign(r, p);
-  Result<double> l = engine.RecordLeakageColumnar(h->view(), p, w);
-  if (l.ok()) ColumnarPathCounter().Inc(1);
-  return l;
+  return ViewRecordLeakage(h->view(), p, engine, w);
 }
 
 std::unique_ptr<LeakageEngine> MakeDefaultEngine() {

@@ -288,13 +288,21 @@ Result<double> SetLeakageColumnar(const ColumnBank& bank,
 Result<std::vector<double>> BatchLeakageColumnar(const ColumnBank& bank,
                                                  const LeakageEngine& engine);
 
-/// \brief Single-record columnar evaluation: L(bank[index], p) through the
-/// engine's columnar kernels, reusing the caller's workspace across calls.
-/// This is the delta-maintenance entry point — an incremental maintainer
-/// evaluates exactly the records appended since its last run, and because
-/// the per-record computation is the same one ScanColumnRange performs, a
-/// sequence of these calls is bit-identical to a cold scan over the same
-/// bank. `ws` may be null (a scratch workspace is then used).
+/// \brief Single-record columnar evaluation of any view resolved against
+/// `p`, reusing the caller's workspace. This is the delta-maintenance entry
+/// point — a `LeakageIndex` resolves each store row it applies into a
+/// one-record scratch view and evaluates it here, and because the
+/// per-record computation is the same one ScanColumnRange performs over
+/// identical columns, a sequence of these calls is bit-identical to a cold
+/// scan over a bank of the same records. Counted on the columnar path
+/// metric like every other evaluation.
+Result<double> ViewRecordLeakage(const ColumnRecordView& v,
+                                 const PreparedReference& p,
+                                 const LeakageEngine& engine,
+                                 LeakageWorkspace* ws);
+
+/// \brief ViewRecordLeakage of `bank`'s record `index`. `ws` may be null (a
+/// scratch workspace is then used).
 Result<double> BankRecordLeakage(const ColumnBank& bank, std::size_t index,
                                  const LeakageEngine& engine,
                                  LeakageWorkspace* ws = nullptr);

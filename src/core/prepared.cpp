@@ -56,34 +56,97 @@ RecordWeightSummary AppendRecordColumns(const Record& r,
     }
     cols->conf.push_back(a.confidence);
     cols->weight.push_back(weight);
-    cols->label.push_back(label);
     cols->match_pos.push_back(ref.MatchPosition(label, value));
   }
   return summary;
 }
 
+void InternedRows::Reserve(std::size_t records, std::size_t attributes) {
+  conf.reserve(conf.size() + attributes);
+  label.reserve(label.size() + attributes);
+  value.reserve(value.size() + attributes);
+  offset.reserve(offset.size() + records);
+}
+
+RowTranslation::RowTranslation(const PreparedReference& ref) : ref_(&ref) {
+  match_.Reserve(ref.size());
+  unresolved_.reserve(ref.size());
+  for (std::size_t j = 0; j < ref.size(); ++j) {
+    unresolved_.push_back(static_cast<uint32_t>(j));
+  }
+}
+
+void RowTranslation::Sync(const Symbols& symbols) {
+  const Symbols& own = ref_->symbols();
+  // Same weight rule as AppendRecordColumns: the reference's cached label
+  // weight when p carries the label, the weight model's otherwise.
+  for (std::size_t id = label_weight_.size(); id < symbols.labels.size();
+       ++id) {
+    const std::string_view name =
+        symbols.labels.NameOf(static_cast<uint32_t>(id));
+    const uint32_t label = own.labels.Find(name);
+    label_weight_.push_back(label != SymbolTable::kNoSymbol
+                                ? ref_->LabelWeight(label)
+                                : ref_->weight_model().Weight(name));
+  }
+  if (unresolved_.empty() || (symbols.labels.size() == labels_seen_ &&
+                              symbols.values.size() == values_seen_)) {
+    return;
+  }
+  labels_seen_ = symbols.labels.size();
+  values_seen_ = symbols.values.size();
+  std::size_t kept = 0;
+  for (const uint32_t pos : unresolved_) {
+    const PreparedAttr& b = ref_->attrs()[pos];
+    const uint32_t label = symbols.labels.Find(own.labels.NameOf(b.label));
+    const uint32_t value = symbols.values.Find(own.values.NameOf(b.value));
+    if (label == SymbolTable::kNoSymbol || value == SymbolTable::kNoSymbol) {
+      unresolved_[kept++] = pos;
+    } else {
+      match_.Insert(PackSymbolPair(label, value), pos);
+    }
+  }
+  unresolved_.resize(kept);
+}
+
+RecordWeightSummary RowTranslation::AppendRow(const InternedRows& rows,
+                                              std::size_t i,
+                                              const Symbols& symbols,
+                                              RecordColumns* cols) {
+  Sync(symbols);
+  RecordWeightSummary summary;
+  const std::size_t begin = static_cast<std::size_t>(rows.offset[i]);
+  const std::size_t end = static_cast<std::size_t>(rows.offset[i + 1]);
+  for (std::size_t c = begin; c < end; ++c) {
+    const double weight = label_weight_[rows.label[c]];
+    if (c == begin) {
+      summary.common = weight;
+    } else if (weight != summary.common) {
+      summary.uniform = false;
+    }
+    cols->conf.push_back(rows.conf[c]);
+    cols->weight.push_back(weight);
+    cols->match_pos.push_back(
+        match_.Find(PackSymbolPair(rows.label[c], rows.value[c])));
+  }
+  return summary;
+}
+
+std::size_t RowTranslation::bytes() const {
+  return label_weight_.capacity() * sizeof(double) + match_.bytes() +
+         unresolved_.capacity() * sizeof(uint32_t);
+}
+
 void PreparedRecord::Assign(const Record& r, const PreparedReference& ref) {
-  cols_.conf.clear();
-  cols_.weight.clear();
-  cols_.label.clear();
-  cols_.match_pos.clear();
+  cols_.clear();
   cols_.conf.reserve(r.size());
   cols_.weight.reserve(r.size());
-  cols_.label.reserve(r.size());
   cols_.match_pos.reserve(r.size());
   summary_ = AppendRecordColumns(r, ref, &cols_);
 }
 
 ColumnRecordView PreparedRecord::view() const {
-  ColumnRecordView v;
-  v.conf = cols_.conf.data();
-  v.weight = cols_.weight.data();
-  v.label = cols_.label.data();
-  v.match_pos = cols_.match_pos.data();
-  v.size = cols_.conf.size();
-  v.uniform_weight = summary_.uniform;
-  v.common_weight = summary_.common;
-  return v;
+  return cols_.view(0, cols_.conf.size(), summary_.uniform, summary_.common);
 }
 
 }  // namespace infoleak

@@ -58,6 +58,11 @@ class FlatPairMap {
 
   std::size_t size() const { return size_; }
 
+  /// Bytes held by the slot arrays.
+  std::size_t bytes() const {
+    return keys_.size() * (sizeof(uint64_t) + sizeof(uint32_t));
+  }
+
  private:
   static constexpr uint64_t kEmptyKey = ~uint64_t{0};
   static constexpr std::size_t kMinCapacity = 8;
@@ -182,12 +187,13 @@ class PreparedReference {
 /// a reference: raw pointers into contiguous per-attribute columns plus the
 /// per-record scalars the engines need. This is the one input every engine
 /// evaluates (`LeakageEngine::RecordLeakageColumnar`); it points either into
-/// a `ColumnBank` (many records) or into a `PreparedRecord` (one). Cheap to
-/// construct (no ownership); valid until its storage is modified.
+/// a `ColumnBank` (many records), a `PreparedRecord` (one), or a leakage
+/// index's one-record scratch (a store row resolved through a
+/// `RowTranslation`). Cheap to construct (no ownership); valid until its
+/// storage is modified.
 struct ColumnRecordView {
   const double* conf = nullptr;        ///< believed confidence per attribute
   const double* weight = nullptr;      ///< resolved label weight per attribute
-  const uint32_t* label = nullptr;     ///< interned label id (kNoSymbol if unknown to p)
   const uint32_t* match_pos = nullptr; ///< position in p, or PreparedReference::kNoMatch
   std::size_t size = 0;                ///< attribute count |r|
   bool uniform_weight = true;          ///< one weight across the record's labels
@@ -195,12 +201,31 @@ struct ColumnRecordView {
 };
 
 /// \brief Growable per-attribute columns of records resolved against one
-/// reference: the storage behind both `ColumnBank` and `PreparedRecord`.
+/// reference: the storage behind `ColumnBank`, `PreparedRecord` and a
+/// leakage index's scratch row.
 struct RecordColumns {
   std::vector<double> conf;
   std::vector<double> weight;
-  std::vector<uint32_t> label;
   std::vector<uint32_t> match_pos;
+
+  void clear() {
+    conf.clear();
+    weight.clear();
+    match_pos.clear();
+  }
+
+  /// View of the cells [begin, end) with the given weight summary.
+  ColumnRecordView view(std::size_t begin, std::size_t end, bool uniform,
+                        double common) const {
+    ColumnRecordView v;
+    v.conf = conf.data() + begin;
+    v.weight = weight.data() + begin;
+    v.match_pos = match_pos.data() + begin;
+    v.size = end - begin;
+    v.uniform_weight = uniform;
+    v.common_weight = common;
+    return v;
+  }
 };
 
 /// Uniform-weight summary of one appended record (see ColumnRecordView).
@@ -212,13 +237,69 @@ struct RecordWeightSummary {
 /// \brief The attribute-resolution rule, in one place: appends `r`'s
 /// attributes to `cols` in canonical order, each with its confidence, its
 /// weight (the reference's cached label weight, or the weight model's for
-/// labels `p` lacks), its interned label id, and its match position in
-/// `p`. Labels and values that never occur in the reference get kNoSymbol
-/// ids and match nothing, so the reference's symbol tables stay bounded by
-/// |p| no matter how many records stream through.
+/// labels `p` lacks), and its match position in `p`. Labels and values
+/// that never occur in the reference match nothing, so the reference's
+/// symbol tables stay bounded by |p| no matter how many records stream
+/// through.
 RecordWeightSummary AppendRecordColumns(const Record& r,
                                         const PreparedReference& ref,
                                         RecordColumns* cols);
+
+/// \brief A record store's attributes as interned rows: per attribute the
+/// confidence and the store's own label and value ids (into the `Symbols`
+/// the store interns with), in each record's canonical order, plus record
+/// offsets. Append-only and independent of any reference — one copy per
+/// store, shared by every reference a `RowTranslation` resolves.
+struct InternedRows {
+  std::vector<double> conf;
+  std::vector<uint32_t> label;
+  std::vector<uint32_t> value;
+  std::vector<uint64_t> offset = {0};  ///< size() + 1 entries
+
+  std::size_t size() const { return offset.size() - 1; }
+
+  /// Pre-sizes for `records` more records of `attributes` cells in total.
+  void Reserve(std::size_t records, std::size_t attributes);
+};
+
+/// \brief The per-reference half of `AppendRecordColumns` for records that
+/// are already interned: maps a store's label ids to weights and its
+/// (label, value) id pairs to positions in `p`, so resolving a stored row
+/// is one array read and one flat-map probe per attribute, with no string
+/// hashing. The tables grow lazily with the store's symbol tables: a label
+/// the store interns later is resolved (one name lookup) the first time a
+/// row is resolved after it appears, and a pair of `p` the store has not
+/// interned yet is retried whenever the store's tables have grown since
+/// the last try. Resolved columns are identical, cell for cell, to
+/// `AppendRecordColumns` over the same record (tested), so evaluations over
+/// them are bit-identical too.
+///
+/// Lifetime: borrows `ref`, which must outlive the translation. Its tables
+/// hold one store's ids, so every call must pass that store's rows and
+/// symbols. Not synchronized: `symbols` must not change during a call.
+class RowTranslation {
+ public:
+  explicit RowTranslation(const PreparedReference& ref);
+
+  /// Appends row `i` of `rows` (ids into `symbols`) to `cols`.
+  RecordWeightSummary AppendRow(const InternedRows& rows, std::size_t i,
+                                const Symbols& symbols, RecordColumns* cols);
+
+  /// Bytes held by the translation tables.
+  std::size_t bytes() const;
+
+ private:
+  /// Catches the tables up with whatever `symbols` interned since the last
+  /// call.
+  void Sync(const Symbols& symbols);
+
+  const PreparedReference* ref_;
+  std::vector<double> label_weight_;  // store label id -> weight
+  FlatPairMap match_;                 // packed store ids -> position in p
+  std::vector<uint32_t> unresolved_;  // positions of p the store lacks
+  std::size_t labels_seen_ = 0;       // store table sizes at the last retry
+  std::size_t values_seen_ = 0;
+};
 
 /// \brief The one-record column holder: an adversary record `r` resolved
 /// against a reference into its own scratch columns, evaluated through

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/prepared.h"
 #include "core/record.h"
 
 namespace infoleak::obs {
@@ -19,12 +20,14 @@ class RequestContext;
 
 namespace infoleak::inc {
 
-/// \brief One append, as published to the feed: the id the store assigned
-/// and the stored (provenance-stripped) record. `record` is borrowed for
-/// the duration of the publish call only.
+/// \brief One append, as published to the feed: the id the store assigned,
+/// the store's interned rows (row `id` is the new record) and the symbol
+/// tables their ids index. Both are borrowed for the duration of the
+/// publish call only.
 struct AppendDelta {
   RecordId id = 0;
-  const Record* record = nullptr;
+  const InternedRows* rows = nullptr;
+  const Symbols* symbols = nullptr;
 };
 
 /// \brief A consumer of store change events — in practice a `LeakageIndex`.

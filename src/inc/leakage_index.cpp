@@ -55,16 +55,21 @@ LeakageIndex::LeakageIndex(Record reference, WeightModel weights,
       }()),
       skip_eligible_(SkipEligible(*engine)),
       maintainer_(std::move(maintainer)),
-      bank_(prepared_) {}
+      translation_(prepared_) {}
 
-Status LeakageIndex::ApplyOneLocked(const Record& record) {
-  const std::size_t i = bank_.size();
-  bank_.Append(record);
+Status LeakageIndex::ApplyOneLocked(const InternedRows& rows,
+                                    const Symbols& symbols) {
+  const std::size_t i = covered();
+  scratch_.clear();
+  const RecordWeightSummary summary =
+      translation_.AppendRow(rows, i, symbols, &scratch_);
+  const ColumnRecordView view = scratch_.view(
+      0, scratch_.conf.size(), summary.uniform, summary.common);
   bool skipped = false;
   double value = 0.0;
   if (skip_eligible_ && options_.bound_skip && top_.size() >= options_.top_k &&
       best_index_ >= 0) {
-    const LeakageBounds b = BoundRecordLeakageColumnar(bank_, i, &ws_);
+    const LeakageBounds b = BoundRecordLeakageView(view, prepared_, &ws_);
     // `upper <= kth` is safe under the scan's first-strictly-greater rule:
     // a value that cannot exceed the k-th (hence cannot exceed the max)
     // can never replace an earlier argmax, even on an exact tie.
@@ -77,7 +82,7 @@ Status LeakageIndex::ApplyOneLocked(const Record& record) {
     }
   }
   if (!skipped) {
-    Result<double> l = BankRecordLeakage(bank_, i, *engine_, &ws_);
+    Result<double> l = ViewRecordLeakage(view, prepared_, *engine_, &ws_);
     if (!l.ok()) {
       // Poison: records apply in id order and none that could fail is
       // skipped, so this is the scan's first error; queries return it
@@ -123,7 +128,6 @@ Status LeakageIndex::ApplyOneLocked(const Record& record) {
 }
 
 void LeakageIndex::ResetLocked(uint64_t epoch) {
-  bank_ = ColumnBank(prepared_);
   leak_.clear();
   exact_.clear();
   top_.clear();
@@ -142,8 +146,8 @@ void LeakageIndex::OnAppend(const AppendDelta& delta) {
   if (poisoned_) return;
   // Only the contiguous next record applies directly; a gap means the index
   // is mid-rebuild (or was registered late) and catch-up covers it later.
-  if (delta.id != bank_.size()) return;
-  (void)ApplyOneLocked(*delta.record);
+  if (delta.id != covered()) return;
+  (void)ApplyOneLocked(*delta.rows, *delta.symbols);
 }
 
 void LeakageIndex::OnEpochBump(uint64_t epoch, std::string_view /*reason*/) {
@@ -158,18 +162,18 @@ bool LeakageIndex::BackgroundMaintain() {
 }
 
 Result<IndexAnswer> LeakageIndex::QueryLocked(
-    const Database& db, const std::function<bool()>& cancel,
-    obs::RequestContext* ctx) {
+    const InternedRows& rows, const Symbols& symbols,
+    const std::function<bool()>& cancel, obs::RequestContext* ctx) {
   obs::TraceSpan span("inc/query");
   std::unique_lock lock(mu_);
   if (poisoned_) return poison_;
-  if (bank_.size() > db.size()) {
+  if (covered() > rows.size()) {
     return Status::Internal(
-        "leakage index covers " + std::to_string(bank_.size()) +
-        " records but the store has only " + std::to_string(db.size()) +
+        "leakage index covers " + std::to_string(covered()) +
+        " records but the store has only " + std::to_string(rows.size()) +
         "; the index was built against a different store");
   }
-  const std::size_t behind = db.size() - bank_.size();
+  const std::size_t behind = rows.size() - covered();
   if (behind > options_.inline_catchup_max) {
     if (feed_ != nullptr) feed_->RequestMaintenance(weak_from_this());
     return Status::FailedPrecondition(
@@ -183,34 +187,35 @@ Result<IndexAnswer> LeakageIndex::QueryLocked(
     // steady-state hit charges nothing.
     obs::PhaseTimer eval_phase(ctx, obs::Phase::kEval);
     std::size_t evaluated = 0;
-    while (bank_.size() < db.size()) {
+    while (covered() < rows.size()) {
       if (cancel && evaluated % 64 == 0 && cancel()) {
         return Status::DeadlineExceeded(
             "index catch-up cancelled after " + std::to_string(evaluated) +
             " of " + std::to_string(behind) + " records");
       }
       ++evaluated;
-      INFOLEAK_RETURN_IF_ERROR(ApplyOneLocked(db[bank_.size()]));
+      INFOLEAK_RETURN_IF_ERROR(ApplyOneLocked(rows, symbols));
     }
   }
   if (ctx != nullptr) ctx->AddRecordsScanned(behind);
   IndexAnswer ans;
   ans.leakage = best_index_ < 0 ? 0.0 : best_;
   ans.argmax = best_index_;
-  ans.records = bank_.size();
+  ans.records = covered();
   return ans;
 }
 
-bool LeakageIndex::MaintainChunkLocked(const Database& db) {
+bool LeakageIndex::MaintainChunkLocked(const InternedRows& rows,
+                                       const Symbols& symbols) {
   std::lock_guard lock(mu_);
   if (poisoned_) return true;  // nothing more maintenance can do
-  if (bank_.size() >= db.size()) return true;
+  if (covered() >= rows.size()) return true;
   const std::size_t end =
-      std::min(db.size(), bank_.size() + options_.maintenance_chunk);
-  while (bank_.size() < end) {
-    if (!ApplyOneLocked(db[bank_.size()]).ok()) return true;
+      std::min(rows.size(), covered() + options_.maintenance_chunk);
+  while (covered() < end) {
+    if (!ApplyOneLocked(rows, symbols).ok()) return true;
   }
-  return bank_.size() >= db.size();
+  return covered() >= rows.size();
 }
 
 LeakageIndex::EventBatch LeakageIndex::EventsAfter(
@@ -218,7 +223,7 @@ LeakageIndex::EventBatch LeakageIndex::EventsAfter(
   std::lock_guard lock(mu_);
   EventBatch batch;
   batch.epoch = epoch_;
-  batch.covered = bank_.size();
+  batch.covered = covered();
   batch.dropped = events_dropped_;
   for (const DeltaEvent& e : events_) {
     if (e.seq <= after_seq) continue;
@@ -232,7 +237,7 @@ IndexStats LeakageIndex::Stats() const {
   std::lock_guard lock(mu_);
   IndexStats s;
   s.epoch = epoch_;
-  s.covered = bank_.size();
+  s.covered = covered();
   s.poisoned = poisoned_;
   if (poisoned_) s.poison_detail = poison_.message();
   s.applied = applied_;
@@ -240,6 +245,12 @@ IndexStats LeakageIndex::Stats() const {
   s.events_dropped = events_dropped_;
   s.best = best_index_ < 0 ? 0.0 : best_;
   s.best_index = best_index_;
+  s.bytes = leak_.size() * sizeof(double) + exact_.size() * sizeof(uint8_t) +
+            top_.capacity() * sizeof(TopEntry) +
+            events_.size() * sizeof(DeltaEvent) + translation_.bytes() +
+            scratch_.conf.capacity() * sizeof(double) +
+            scratch_.weight.capacity() * sizeof(double) +
+            scratch_.match_pos.capacity() * sizeof(uint32_t);
   return s;
 }
 

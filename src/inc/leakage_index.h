@@ -9,9 +9,8 @@
 #include <string>
 #include <vector>
 
-#include "core/column_bank.h"
-#include "core/database.h"
 #include "core/leakage.h"
+#include "core/prepared.h"
 #include "inc/change_feed.h"
 #include "util/result.h"
 
@@ -72,17 +71,27 @@ struct IndexStats {
   uint64_t events_dropped = 0;
   double best = 0.0;
   std::ptrdiff_t best_index = -1;
+  /// Bytes the index retains: the per-record value column and exact flags
+  /// (9 B per covered record), the top-k, the event ring, the translation
+  /// tables and the one-record scratch row. Independent of how many
+  /// attributes the store's records carry.
+  std::size_t bytes = 0;
 };
 
 /// \brief A materialized leakage view of the store against one prepared
 /// reference: the per-record leakage column, the running set-leakage
 /// maximum with its argmax, and a sorted top-k of the largest per-record
 /// leakages. Maintained incrementally from the change feed — each append
-/// extends the index's own `ColumnBank` by one record and evaluates just
-/// that record through the engine's columnar kernel — so an index-backed
-/// set-leak answers from the maintained maximum plus a catch-up delta,
-/// instead of rescanning |R| records. It is the service's only set-leak
-/// path: a cold index catches up over the whole store on its first query.
+/// resolves the store's interned row for that record through the index's
+/// `RowTranslation` into a reusable one-record scratch row and evaluates
+/// just that record through the engine's columnar kernel — so an
+/// index-backed set-leak answers from the maintained maximum plus a
+/// catch-up delta, instead of rescanning |R| records. It is the service's
+/// only set-leak path: a cold index catches up over the whole store on its
+/// first query. The index keeps no columns of the store: per reference it
+/// holds the translation (store label id → weight, store (label, value)
+/// pair → position in p) and 9 B per record (value and exact flag), so
+/// the store's rows are shared by every reference.
 ///
 /// Bit-identity contract: every answer — value, argmax or error — equals
 /// what a cold `SetLeakageColumnar` over the same records returns, bit for
@@ -137,21 +146,27 @@ class LeakageIndex final : public DeltaSink,
 
   // ----- Store-called entry points (store reader lock held) ----------------
 
+  // `rows` are the store's interned rows and `symbols` the tables their ids
+  // index (RecordStore::rows() and index().symbols()); neither may change
+  // during the call.
+
   /// Answers set-leak from the materialized view, closing any gap inline
   /// first (charged to the eval phase of `ctx` — the delta is real kernel
-  /// work). Failure modes, each what a cold `SetLeakageColumnar` over `db`
-  /// would return: the poison status, unchanged, once an evaluation has
-  /// failed; DeadlineExceeded when `cancel` fires mid-catch-up. Only a
-  /// finite `inline_catchup_max` adds one more: FailedPrecondition when
-  /// the gap exceeds it (a background rebuild is then scheduled).
-  Result<IndexAnswer> QueryLocked(const Database& db,
+  /// work). Failure modes, each what a cold `SetLeakageColumnar` over the
+  /// same records would return: the poison status, unchanged, once an
+  /// evaluation has failed; DeadlineExceeded when `cancel` fires
+  /// mid-catch-up. Only a finite `inline_catchup_max` adds one more:
+  /// FailedPrecondition when the gap exceeds it (a background rebuild is
+  /// then scheduled).
+  Result<IndexAnswer> QueryLocked(const InternedRows& rows,
+                                  const Symbols& symbols,
                                   const std::function<bool()>& cancel = {},
                                   obs::RequestContext* ctx = nullptr);
 
   /// One background catch-up chunk (at most `options.maintenance_chunk`
-  /// records). Returns true when the index covers all of `db` (or is
+  /// records). Returns true when the index covers all of `rows` (or is
   /// poisoned — there is nothing more maintenance can do).
-  bool MaintainChunkLocked(const Database& db);
+  bool MaintainChunkLocked(const InternedRows& rows, const Symbols& symbols);
 
   // ----- Subscribe support -------------------------------------------------
 
@@ -168,13 +183,15 @@ class LeakageIndex final : public DeltaSink,
   IndexStats Stats() const;
 
  private:
-  /// Extends the materialized view by one record: appends its columns,
-  /// either proves it cannot enter the top-k (bounds skip) or evaluates it
-  /// exactly, repairs the running max / argmax / top-k, and records the
-  /// delta event. Must mirror ScanColumnRange's accumulation exactly.
-  /// On evaluation error: poisons the index and returns the error.
-  Status ApplyOneLocked(const Record& record);
+  /// Extends the materialized view by the next uncovered row of `rows`:
+  /// resolves it into the scratch row, either proves it cannot enter the
+  /// top-k (bounds skip) or evaluates it exactly, repairs the running max /
+  /// argmax / top-k, and records the delta event. Must mirror
+  /// ScanColumnRange's accumulation exactly. On evaluation error: poisons
+  /// the index and returns the error.
+  Status ApplyOneLocked(const InternedRows& rows, const Symbols& symbols);
   void ResetLocked(uint64_t epoch);
+  std::size_t covered() const { return leak_.size(); }
 
   struct TopEntry {
     double value = 0.0;
@@ -191,7 +208,8 @@ class LeakageIndex final : public DeltaSink,
   const Maintainer maintainer_;
 
   mutable std::mutex mu_;
-  ColumnBank bank_;            // the index's own columns; borrows prepared_
+  RowTranslation translation_;  // store ids -> p; borrows prepared_
+  RecordColumns scratch_;       // the row being applied, resolved
   std::vector<double> leak_;   // per-record value (upper bound when !exact_)
   std::vector<uint8_t> exact_;
   std::vector<TopEntry> top_;  // sorted by (value desc, index asc)

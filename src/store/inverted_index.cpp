@@ -44,12 +44,19 @@ InvertedIndex& InvertedIndex::operator=(InvertedIndex&& other) noexcept {
   return *this;
 }
 
-void InvertedIndex::Add(RecordId id, const Record& record) {
+void InvertedIndex::Add(RecordId id, const Record& record,
+                        InternedRows* rows) {
   Metrics().adds.Inc();
   std::unique_lock lock(mu_);
   for (const auto& a : record) {
-    const uint64_t key = PackSymbolPair(syms_.labels.Intern(a.label),
-                                        syms_.values.Intern(a.value));
+    const uint32_t label = syms_.labels.Intern(a.label);
+    const uint32_t value = syms_.values.Intern(a.value);
+    if (rows != nullptr) {
+      rows->conf.push_back(a.confidence);
+      rows->label.push_back(label);
+      rows->value.push_back(value);
+    }
+    const uint64_t key = PackSymbolPair(label, value);
     auto& list = postings_[key];
     if (list.empty() || list.back() < id) {
       list.push_back(id);
@@ -57,6 +64,7 @@ void InvertedIndex::Add(RecordId id, const Record& record) {
       list.insert(std::lower_bound(list.begin(), list.end(), id), id);
     }
   }
+  if (rows != nullptr) rows->offset.push_back(rows->conf.size());
 }
 
 const std::vector<RecordId>* InvertedIndex::FindLocked(

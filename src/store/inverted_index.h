@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/prepared.h"
 #include "core/record.h"
 #include "core/symbols.h"
 
@@ -36,8 +37,10 @@ class InvertedIndex {
   InvertedIndex& operator=(InvertedIndex&& other) noexcept;
 
   /// Indexes every attribute of `record` under `id`. Ids should be added
-  /// in ascending order; posting lists then stay sorted for free.
-  void Add(RecordId id, const Record& record);
+  /// in ascending order; posting lists then stay sorted for free. When
+  /// `rows` is given, the interned ids computed on the way are kept there
+  /// as the record's row (see InternedRows) instead of being discarded.
+  void Add(RecordId id, const Record& record, InternedRows* rows = nullptr);
 
   /// Posting list for (label, value); nullptr when empty. See the class
   /// comment for the concurrency contract of the returned pointer.

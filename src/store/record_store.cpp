@@ -15,6 +15,7 @@ namespace infoleak {
 RecordStore::RecordStore(RecordStore&& other) noexcept
     : db_(std::move(other.db_)),
       index_(std::move(other.index_)),
+      rows_(std::move(other.rows_)),
       path_(std::move(other.path_)),
       feed_(other.feed_) {
   other.feed_ = nullptr;
@@ -24,6 +25,7 @@ RecordStore& RecordStore::operator=(RecordStore&& other) noexcept {
   if (this != &other) {
     db_ = std::move(other.db_);
     index_ = std::move(other.index_);
+    rows_ = std::move(other.rows_);
     path_ = std::move(other.path_);
     feed_ = other.feed_;
     other.feed_ = nullptr;
@@ -41,14 +43,23 @@ Result<RecordStore> RecordStore::Open(const std::string& path) {
   }
   auto db = LoadDatabaseCsv(*text);
   if (!db.ok()) return db.status();
+  store.ReserveFor(*db);
   for (const auto& r : *db) store.Append(r);
   return store;
 }
 
 RecordStore RecordStore::FromDatabase(const Database& db) {
   RecordStore store;
+  store.ReserveFor(db);
   for (const auto& r : db) store.Append(r);
   return store;
+}
+
+void RecordStore::ReserveFor(const Database& db) {
+  std::size_t attributes = 0;
+  for (const auto& r : db) attributes += r.size();
+  std::unique_lock lock(mu_);
+  rows_.Reserve(db.size(), attributes);
 }
 
 RecordId RecordStore::Append(Record record, obs::RequestContext* ctx) {
@@ -64,7 +75,7 @@ RecordId RecordStore::Append(Record record, obs::RequestContext* ctx) {
   {
     obs::PhaseTimer eval_phase(ctx, obs::Phase::kEval);
     id = db_.Add(std::move(clean));
-    index_.Add(id, db_[db_.size() - 1]);
+    index_.Add(id, db_[db_.size() - 1], &rows_);
   }
   if (feed_ != nullptr) {
     // Publishing under the writer lock is what gives sinks the "deltas
@@ -73,7 +84,8 @@ RecordId RecordStore::Append(Record record, obs::RequestContext* ctx) {
     obs::PhaseTimer publish_phase(ctx, obs::Phase::kPublish);
     inc::AppendDelta delta;
     delta.id = id;
-    delta.record = &db_[db_.size() - 1];
+    delta.rows = &rows_;
+    delta.symbols = &index_.symbols();
     feed_->PublishAppend(delta);
   }
   return id;
@@ -93,12 +105,12 @@ Result<inc::IndexAnswer> RecordStore::SetLeakIndexed(
     inc::LeakageIndex& index, const std::function<bool()>& cancel,
     obs::RequestContext* ctx) const {
   std::shared_lock lock(mu_);
-  return index.QueryLocked(db_, cancel, ctx);
+  return index.QueryLocked(rows_, index_.symbols(), cancel, ctx);
 }
 
 bool RecordStore::MaintainIndex(inc::LeakageIndex& index) const {
   std::shared_lock lock(mu_);
-  return index.MaintainChunkLocked(db_);
+  return index.MaintainChunkLocked(rows_, index_.symbols());
 }
 
 Status RecordStore::Flush(const std::string& path) const {

@@ -72,6 +72,9 @@ class RecordStore {
   /// Unsynchronized views — quiesce writers before touching these.
   const Database& database() const { return db_; }
   const InvertedIndex& index() const { return index_; }
+  /// Every stored record's interned row (ids into `index().symbols()`):
+  /// what leakage indexes resolve through their per-reference translation.
+  const InternedRows& rows() const { return rows_; }
 
   /// Consistent copy of the stored database, taken under the read lock —
   /// what the persistence layer serializes while the store keeps serving.
@@ -115,9 +118,10 @@ class RecordStore {
 
   /// Serving path: answers set-leak from a materialized `LeakageIndex`
   /// under the store's read lock (one consistent snapshot). The index
-  /// closes any gap inline; see LeakageIndex::QueryLocked for the failure
-  /// contract. Answers and errors are bit-identical to `SetLeakColumnar`
-  /// with the same reference and engine.
+  /// closes any gap inline from the store's interned rows; see
+  /// LeakageIndex::QueryLocked for the failure contract. Answers and errors
+  /// are bit-identical to `SetLeakColumnar` with the same reference and
+  /// engine.
   Result<inc::IndexAnswer> SetLeakIndexed(
       inc::LeakageIndex& index, const std::function<bool()>& cancel = {},
       obs::RequestContext* ctx = nullptr) const;
@@ -134,9 +138,13 @@ class RecordStore {
                             obs::RequestContext* ctx = nullptr) const;
 
  private:
+  /// Pre-sizes the record and row storage for `db`'s records.
+  void ReserveFor(const Database& db);
+
   mutable std::shared_mutex mu_;
   Database db_;
   InvertedIndex index_;
+  InternedRows rows_;  // one row per record, interned by index_
   std::string path_;
   inc::ChangeFeed* feed_ = nullptr;  // borrowed; null = no incremental plane
 };

@@ -184,6 +184,22 @@ std::size_t LeakageService::cached_references() const {
   return reference_cache_.size();
 }
 
+std::size_t LeakageService::IndexBytes() const {
+  // Collect the indexes first: summing takes each index's mutex, which a
+  // cold query holds across its catch-up, so cache_mu_ must not be held.
+  std::vector<std::shared_ptr<inc::LeakageIndex>> live;
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    for (const auto& [key, entry] : reference_cache_) {
+      std::lock_guard<std::mutex> index_lock(entry->index_mu);
+      for (const auto& [engine, index] : entry->indexes) live.push_back(index);
+    }
+  }
+  std::size_t bytes = 0;
+  for (const auto& index : live) bytes += index->Stats().bytes;
+  return bytes;
+}
+
 Result<const LeakageEngine*> LeakageService::PickEngine(
     const JsonValue& body) const {
   // The optional "measure" field selects an adversary model from the closed
@@ -557,6 +573,15 @@ Result<JsonValue> LeakageService::Dispatch(
             "Epoch bumps published through the change feed (WAL resets)");
     index.Set("invalidations",
               JsonValue::Number(static_cast<double>(invalidations.Value())));
+    // Memory per served reference: what the cached references' indexes
+    // retain, on top of the store's one copy of the interned rows.
+    static obs::Gauge& index_bytes = obs::MetricsRegistry::Global().GetGauge(
+        "infoleak_inc_index_bytes", {},
+        "Bytes retained by the cached references' leakage indexes "
+        "(refreshed on every stats render)");
+    const std::size_t bytes = IndexBytes();
+    index_bytes.Set(static_cast<double>(bytes));
+    index.Set("bytes", JsonValue::Number(static_cast<double>(bytes)));
     out.Set("index", std::move(index));
     auto& log = obs::EventLog::Global();
     JsonValue events = JsonValue::Object();

@@ -48,7 +48,11 @@ struct ServiceConfig {
 /// `inc::ChangeFeed`, so the store pushes every append into the indexes and
 /// a query is an index lookup plus whatever catch-up the index still owes
 /// (the whole store on a reference's first query) — bit-identical to a
-/// cold columnar scan, errors included.
+/// cold columnar scan, errors included. The catch-up resolves the store's
+/// interned rows through the index's small per-reference translation, so a
+/// cached reference costs its translation plus 9 B per stored record, not
+/// a copy of the store's columns (`stats` reports the sum as
+/// `index.bytes`).
 ///
 /// Verbs: `ping`, `append`, `leak`, `set-leak`, `resolve`, `subscribe`,
 /// `compact`, `stats`, `tail`, `frontier` — see protocol.h for the wire
@@ -93,6 +97,9 @@ class LeakageService {
 
   std::size_t cached_references() const;
 
+  /// Bytes retained by the cached entries' leakage indexes (IndexStats).
+  std::size_t IndexBytes() const;
+
  private:
   /// Owns the strings a cached PreparedReference points into. Constructed
   /// in place on the heap and never moved afterwards, so the interior
@@ -101,9 +108,10 @@ class LeakageService {
     Record reference;
     WeightModel weights;
     PreparedReference prepared;
-    /// Per-engine materialized leakage indexes, each holding its own column
-    /// bank (lazily created on the first `set-leak`/`subscribe`; a handful
-    /// at most, so a flat vector keyed by engine pointer). Mutable because
+    /// Per-engine materialized leakage indexes, each resolving the store's
+    /// shared interned rows through its own translation (lazily created on
+    /// the first `set-leak`/`subscribe`; a handful at most, so a flat vector
+    /// keyed by engine pointer). Mutable because
     /// indexes are evaluation caches, not entry identity, and entries are
     /// shared as pointers-to-const. When the entry is evicted and dies, its
     /// indexes die with it — the feed holds them weakly — and a re-prepared

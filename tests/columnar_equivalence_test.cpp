@@ -12,6 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "core/bounds.h"
@@ -164,8 +167,7 @@ TEST(ColumnarEquivalence, EdgeRecords) {
     ExpectColumnarBitIdentical(*e, empty, c.p, unit);
   }
 
-  // r entirely disjoint from p (every id resolves to the kNoSymbol
-  // sentinel in the bank's label column; every match_pos is kNoMatch).
+  // r entirely disjoint from p (every match_pos is kNoMatch).
   Record disjoint;
   disjoint.Insert(Attribute("X1", "y1", 0.7));
   disjoint.Insert(Attribute("X2", "y2", 0.4));
@@ -337,6 +339,97 @@ TEST(ColumnarScanTest, CancellationAbortsWithDeadlineExceeded) {
   ASSERT_TRUE(polled.ok());
   EXPECT_EQ(*plain, *polled);
   EXPECT_EQ(a1, a2);
+}
+
+/// Fails on records whose first confidence is 0.25. A record whose first
+/// confidence is 0.5 waits until that failure has been returned, then long
+/// enough for the failing shard to record it, so the record's shard polls
+/// the shared stop state only after a later shard has failed.
+class LatchedFailEngine : public LeakageEngine {
+ public:
+  std::string_view name() const override { return "latched-fail"; }
+  Result<double> RecordLeakageColumnar(
+      const ColumnRecordView& r, const PreparedReference& /*p*/,
+      LeakageWorkspace* /*ws*/) const override {
+    if (r.size > 0 && r.conf[0] == 0.25) {
+      {
+        std::lock_guard lock(mu_);
+        failed_ = true;
+      }
+      cv_.notify_all();
+      return Status::InvalidArgument("stub failure in the last shard");
+    }
+    if (r.size > 0 && r.conf[0] == 0.5) {
+      std::unique_lock lock(mu_);
+      cv_.wait_for(lock, std::chrono::seconds(10), [this] { return failed_; });
+      lock.unlock();
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    return 0.5;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool failed_ = false;
+};
+
+TEST(ColumnarScanTest, ShardedScanReturnsTheEnginesFirstError) {
+  // Two shards: {waits, ok} and {ok, fails}. The first shard must keep
+  // scanning after the second fails, and the scan must return the engine's
+  // error — what the serial scan returns — not a cancellation.
+  WeightModel unit;
+  Record p;
+  p.Insert(Attribute("N", "x", 1.0));
+  const PreparedReference ref(p, unit);
+  ColumnBank bank(ref);
+  for (double conf : {0.5, 1.0, 1.0, 0.25}) {
+    Record r;
+    r.Insert(Attribute("N", "x", conf));
+    bank.Append(r);
+  }
+  LatchedFailEngine engine;
+  ColumnScanOptions sharded;
+  sharded.num_threads = 2;
+  sharded.check_every = 1;
+  const auto got = SetLeakageColumnar(bank, engine, nullptr, sharded);
+  ASSERT_FALSE(got.ok());
+  EXPECT_TRUE(got.status().IsInvalidArgument()) << got.status().ToString();
+  EXPECT_EQ(got.status().message(), "stub failure in the last shard");
+
+  const auto serial = SetLeakageColumnar(bank, engine, nullptr);
+  ASSERT_FALSE(serial.ok());
+  EXPECT_EQ(got.status().code(), serial.status().code());
+  EXPECT_EQ(got.status().message(), serial.status().message());
+}
+
+TEST(ColumnarScanTest, ShardedScanReportsTheEarliestFailingShard) {
+  // Every record over naive's cap fails; the scan's first error is record
+  // 0's, in the first shard, whichever shard fails first in time.
+  WeightModel unit;
+  Record p;
+  p.Insert(Attribute("N", "x", 1.0));
+  const PreparedReference ref(p, unit);
+  ColumnBank bank(ref);
+  for (int i = 0; i < 64; ++i) {
+    Record r;
+    for (int a = 0; a <= i % 3 + 2; ++a) {
+      r.Insert(Attribute("L" + std::to_string(a), "v", 0.5));
+    }
+    bank.Append(r);
+  }
+  NaiveLeakage tiny(/*max_attributes=*/1);
+  const auto serial = SetLeakageColumnar(bank, tiny, nullptr);
+  ASSERT_FALSE(serial.ok());
+  for (std::size_t threads : {2u, 4u, 8u}) {
+    ColumnScanOptions sharded;
+    sharded.num_threads = threads;
+    sharded.check_every = 1;
+    const auto got = SetLeakageColumnar(bank, tiny, nullptr, sharded);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), serial.status().code()) << threads;
+    EXPECT_EQ(got.status().message(), serial.status().message()) << threads;
+  }
 }
 
 // ---------------------------------------------------------------------------

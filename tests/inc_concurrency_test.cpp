@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <memory>
@@ -102,6 +103,87 @@ TEST(IncConcurrencyTest, AppendsRaceIndexQueriesSafely) {
   auto final_ans = store.SetLeakIndexed(*index);
   ASSERT_TRUE(final_ans.ok());
   EXPECT_EQ(final_ans->records, static_cast<std::size_t>(kAppends));
+  store.SetChangeFeed(nullptr);
+  feed.Shutdown();
+}
+
+TEST(IncConcurrencyTest, AppendsInterningNewSymbolsRaceColdQueries) {
+  // Every append interns a fresh value and every tenth a fresh label, and
+  // p's own (L5, new53) pair arrives only mid-race. Each query builds a new
+  // index that catches up cold while the writer keeps interning, and stays
+  // registered so later appends reach it through the feed.
+  RecordStore store;
+  inc::ChangeFeed feed;
+  store.SetChangeFeed(&feed);
+  AutoLeakage engine;
+  auto fresh = [](int i) {
+    Record r = MakeRecord(i % 50, 0.5 + 0.5 * ((i % 4) / 3.0));
+    r.Insert(Attribute("L" + std::to_string(i / 10),
+                       "new" + std::to_string(i), 0.75));
+    return r;
+  };
+  Record p = MakeRecord(3, 1.0);
+  p.Insert(Attribute("L5", "new53", 1.0));
+  const WeightModel wm;
+
+  struct Answer {
+    std::size_t records;
+    double leakage;
+    std::ptrdiff_t argmax;
+  };
+  std::vector<Answer> answers;
+  std::vector<std::shared_ptr<inc::LeakageIndex>> indexes;
+  StartGate gate;
+  constexpr int kAppends = 600;
+  constexpr int kQueries = 60;
+  std::thread writer([&] {
+    gate.ArriveAndWait();
+    for (int i = 0; i < kAppends; ++i) store.Append(fresh(i));
+  });
+  std::thread reader([&] {
+    gate.ArriveAndWait();
+    for (int q = 0; q < kQueries; ++q) {
+      auto index =
+          std::make_shared<inc::LeakageIndex>(p, wm, &engine, &feed);
+      feed.Register(index);
+      auto ans = store.SetLeakIndexed(*index);
+      ASSERT_TRUE(ans.ok()) << ans.status().ToString();
+      answers.push_back({ans->records, ans->leakage, ans->argmax});
+      indexes.push_back(std::move(index));
+    }
+  });
+  gate.OpenWhen(2);
+  writer.join();
+  reader.join();
+
+  // Every cold answer equals a cold scan of the prefix it covered, and
+  // every index, fed since, equals a cold scan of the final store.
+  const Database db = store.SnapshotDatabase();
+  const PreparedReference prep(p, wm);
+  std::sort(answers.begin(), answers.end(),
+            [](const Answer& a, const Answer& b) {
+              return a.records < b.records;
+            });
+  ColumnBank bank(prep);
+  for (const Answer& a : answers) {
+    while (bank.size() < a.records) bank.Append(db[bank.size()]);
+    std::ptrdiff_t argmax = -2;
+    auto want = SetLeakageColumnar(bank, engine, &argmax);
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(a.leakage, *want) << a.records << " records";
+    EXPECT_EQ(a.argmax, argmax) << a.records << " records";
+  }
+  bank.ExtendFrom(db);
+  std::ptrdiff_t final_argmax = -2;
+  auto final_want = SetLeakageColumnar(bank, engine, &final_argmax);
+  ASSERT_TRUE(final_want.ok());
+  for (const auto& index : indexes) {
+    EXPECT_EQ(index->Stats().covered, db.size());
+    auto got = store.SetLeakIndexed(*index);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->leakage, *final_want);
+    EXPECT_EQ(got->argmax, final_argmax);
+  }
   store.SetChangeFeed(nullptr);
   feed.Shutdown();
 }

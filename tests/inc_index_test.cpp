@@ -15,6 +15,7 @@
 #include "core/record_io.h"
 #include "inc/change_feed.h"
 #include "obs/metrics.h"
+#include "store/record_store.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -69,6 +70,7 @@ const char* kReference = "{<N, alice, 1>, <C, rome, 1>, <P, 123, 1>}";
 /// records, whichever engine maintains them.
 TEST(IncIndexTest, QueryMatchesColdRescanBitExactly) {
   const Database db = SeededDb(200);
+  const RecordStore store = RecordStore::FromDatabase(db);
   const Record p = Rec(kReference);
   AutoLeakage auto_engine;
   ExactLeakage exact_engine;
@@ -88,7 +90,7 @@ TEST(IncIndexTest, QueryMatchesColdRescanBitExactly) {
     ASSERT_TRUE(want.ok()) << engine->name();
 
     LeakageIndex index(p, wm, engine, /*feed=*/nullptr);
-    auto got = index.QueryLocked(db);
+    auto got = index.QueryLocked(store.rows(), store.index().symbols());
     ASSERT_TRUE(got.ok()) << engine->name() << ": " << got.status().ToString();
     EXPECT_EQ(got->leakage, *want) << engine->name();  // exact, not near
     EXPECT_EQ(got->argmax, want_argmax) << engine->name();
@@ -101,6 +103,7 @@ TEST(IncIndexTest, QueryMatchesColdRescanBitExactly) {
 /// scan under the same engine — and never a stale default-measure value.
 TEST(IncIndexTest, MeasureEngineQueriesMatchColdRescanBitExactly) {
   const Database db = SeededDb(200);
+  const RecordStore store = RecordStore::FromDatabase(db);
   const Record p = Rec(kReference);
   const WeightModel wm = Weights("N=2,C=1,P=3");
   for (Measure m : {Measure::kPml, Measure::kGuesswork, Measure::kUnder,
@@ -115,7 +118,7 @@ TEST(IncIndexTest, MeasureEngineQueriesMatchColdRescanBitExactly) {
     ASSERT_TRUE(want.ok()) << engine->name();
 
     LeakageIndex index(p, wm, engine, /*feed=*/nullptr);
-    auto got = index.QueryLocked(db);
+    auto got = index.QueryLocked(store.rows(), store.index().symbols());
     ASSERT_TRUE(got.ok()) << engine->name() << ": " << got.status().ToString();
     EXPECT_EQ(got->leakage, *want) << engine->name();  // exact, not near
     EXPECT_EQ(got->argmax, want_argmax) << engine->name();
@@ -132,14 +135,16 @@ TEST(IncIndexTest, MeasureIndexNeverServesStaleDefaultAnswers) {
   db.Add(Rec("{<N, alice, 0.5>, <C, rome, 0.5>}"));
   db.Add(Rec("{<N, alice, 0.75>, <P, 123, 0.25>}"));
   db.Add(Rec("{<C, rome, 0.5>}"));
+  const RecordStore store = RecordStore::FromDatabase(db);
   const Record p = Rec(kReference);
   const WeightModel wm = Weights();
   AutoLeakage auto_engine;
   LeakageIndex default_index(p, wm, &auto_engine, nullptr);
   LeakageIndex pml_index(p, wm, MeasureEngineSingleton(Measure::kPml),
                          nullptr);
-  auto expected = default_index.QueryLocked(db);
-  auto pml = pml_index.QueryLocked(db);
+  auto expected =
+      default_index.QueryLocked(store.rows(), store.index().symbols());
+  auto pml = pml_index.QueryLocked(store.rows(), store.index().symbols());
   ASSERT_TRUE(expected.ok());
   ASSERT_TRUE(pml.ok());
   EXPECT_NE(pml->leakage, expected->leakage)
@@ -152,20 +157,22 @@ TEST(IncIndexTest, MeasureIndexNeverServesStaleDefaultAnswers) {
 /// code, and this keeps it that way.
 TEST(IncIndexTest, MeasureEngineAppendsMatchOneShotCatchup) {
   const Database db = SeededDb(120, 7);
+  const RecordStore store = RecordStore::FromDatabase(db);
   const Record p = Rec(kReference);
   const WeightModel wm = Weights();
   const LeakageEngine* engine = MeasureEngineSingleton(Measure::kGuesswork);
 
   LeakageIndex one_shot(p, wm, engine, nullptr);
-  auto want = one_shot.QueryLocked(db);
+  auto want = one_shot.QueryLocked(store.rows(), store.index().symbols());
   ASSERT_TRUE(want.ok());
 
   LeakageIndex stepped(p, wm, engine, nullptr);
   for (std::size_t i = 0; i < db.size(); ++i) {
-    AppendDelta delta{static_cast<RecordId>(i), &db[i]};
+    AppendDelta delta{static_cast<RecordId>(i), &store.rows(),
+                      &store.index().symbols()};
     stepped.OnAppend(delta);
   }
-  auto got = stepped.QueryLocked(db);
+  auto got = stepped.QueryLocked(store.rows(), store.index().symbols());
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->leakage, want->leakage);
   EXPECT_EQ(got->argmax, want->argmax);
@@ -176,20 +183,23 @@ TEST(IncIndexTest, IncrementalAppendsMatchOneShotCatchup) {
   // Record-at-a-time maintenance (the OnAppend path) must land on the same
   // bits as one big catch-up, and as the cold scan.
   const Database db = SeededDb(120, 7);
+  const RecordStore store = RecordStore::FromDatabase(db);
   const Record p = Rec(kReference);
   const WeightModel wm = Weights();
   AutoLeakage engine;
 
   LeakageIndex one_shot(p, wm, &engine, nullptr);
-  auto want = one_shot.QueryLocked(db);
+  auto want = one_shot.QueryLocked(store.rows(), store.index().symbols());
   ASSERT_TRUE(want.ok());
 
   LeakageIndex stepped(p, wm, &engine, nullptr);
   for (std::size_t i = 0; i < db.size(); ++i) {
-    AppendDelta delta{static_cast<RecordId>(i), &db[i]};
+    AppendDelta delta{static_cast<RecordId>(i), &store.rows(),
+                      &store.index().symbols()};
     stepped.OnAppend(delta);
   }
-  auto got = stepped.QueryLocked(db);  // no gap left: pure lookup
+  // No gap left: a pure lookup.
+  auto got = stepped.QueryLocked(store.rows(), store.index().symbols());
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->leakage, want->leakage);
   EXPECT_EQ(got->argmax, want->argmax);
@@ -198,6 +208,7 @@ TEST(IncIndexTest, IncrementalAppendsMatchOneShotCatchup) {
 
 TEST(IncIndexTest, OutOfOrderAppendIsIgnoredAndCatchupHeals) {
   const Database db = SeededDb(30, 3);
+  const RecordStore store = RecordStore::FromDatabase(db);
   const Record p = Rec(kReference);
   const WeightModel wm = Weights();
   AutoLeakage engine;
@@ -205,11 +216,12 @@ TEST(IncIndexTest, OutOfOrderAppendIsIgnoredAndCatchupHeals) {
 
   // A delta from the future (id 5 while the index covers 0) must not apply:
   // applying it would mint a wrong record_id -> leakage association.
-  AppendDelta future{static_cast<RecordId>(5), &db[5]};
+  AppendDelta future{static_cast<RecordId>(5), &store.rows(),
+                     &store.index().symbols()};
   index.OnAppend(future);
   EXPECT_EQ(index.Stats().covered, 0u);
 
-  auto got = index.QueryLocked(db);
+  auto got = index.QueryLocked(store.rows(), store.index().symbols());
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->records, db.size());
 }
@@ -226,11 +238,12 @@ TEST(IncIndexTest, BoundSkipFiresAndNeverChangesTheAnswer) {
   for (int i = 0; i < 200; ++i) {
     db.Add(Rec("{<N, alice, 0.25>}"));  // weak: one low-confidence attr
   }
+  const RecordStore store = RecordStore::FromDatabase(db);
   ApproxLeakage engine;
   IndexOptions options;
   options.top_k = 4;
   LeakageIndex index(p, wm, &engine, nullptr, options);
-  auto got = index.QueryLocked(db);
+  auto got = index.QueryLocked(store.rows(), store.index().symbols());
   ASSERT_TRUE(got.ok());
   const IndexStats stats = index.Stats();
   EXPECT_GT(stats.bound_skips, 0u) << "the skip never fired";
@@ -259,9 +272,10 @@ TEST(IncIndexTest, StructuralErrorEnginesNeverSkip) {
   Database db;
   db.Add(Rec("{<N, alice, 1>}"));
   db.Add(Rec("{<N, alice, 1>, <C, rome, 1>, <P, 123, 1>}"));  // over the cap
+  RecordStore store = RecordStore::FromDatabase(db);
   NaiveLeakage tiny(/*max_attributes=*/2);
   LeakageIndex index(p, wm, &tiny, nullptr);
-  auto got = index.QueryLocked(db);
+  auto got = index.QueryLocked(store.rows(), store.index().symbols());
   ASSERT_FALSE(got.ok());
 
   const IndexStats stats = index.Stats();
@@ -282,8 +296,9 @@ TEST(IncIndexTest, StructuralErrorEnginesNeverSkip) {
   // longer store whose new record fails differently, return the same
   // first error — as the scan does.
   db.Add(Rec("{<N, alice, 1>, <C, rome, 1>, <P, 123, 1>, <Z, 9, 1>}"));
+  store.Append(db[db.size() - 1]);
   bank.ExtendFrom(db);
-  auto later = index.QueryLocked(db);
+  auto later = index.QueryLocked(store.rows(), store.index().symbols());
   auto later_scan = SetLeakageColumnar(bank, tiny, nullptr);
   ASSERT_FALSE(later.ok());
   ASSERT_FALSE(later_scan.ok());
@@ -294,11 +309,12 @@ TEST(IncIndexTest, StructuralErrorEnginesNeverSkip) {
 
 TEST(IncIndexTest, EpochBumpResetsAndRebuildRestoresTheAnswer) {
   const Database db = SeededDb(60, 11);
+  const RecordStore store = RecordStore::FromDatabase(db);
   const Record p = Rec(kReference);
   const WeightModel wm = Weights();
   AutoLeakage engine;
   LeakageIndex index(p, wm, &engine, nullptr);
-  auto before = index.QueryLocked(db);
+  auto before = index.QueryLocked(store.rows(), store.index().symbols());
   ASSERT_TRUE(before.ok());
 
   index.OnEpochBump(3, "compact");
@@ -307,9 +323,9 @@ TEST(IncIndexTest, EpochBumpResetsAndRebuildRestoresTheAnswer) {
   EXPECT_EQ(stats.covered, 0u);
 
   // Background-style rebuild in chunks, then a pure-lookup query.
-  while (!index.MaintainChunkLocked(db)) {
+  while (!index.MaintainChunkLocked(store.rows(), store.index().symbols())) {
   }
-  auto after = index.QueryLocked(db);
+  auto after = index.QueryLocked(store.rows(), store.index().symbols());
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->leakage, before->leakage);
   EXPECT_EQ(after->argmax, before->argmax);
@@ -318,31 +334,33 @@ TEST(IncIndexTest, EpochBumpResetsAndRebuildRestoresTheAnswer) {
 
 TEST(IncIndexTest, TooFarBehindRefusesInlineCatchup) {
   const Database db = SeededDb(50, 5);
+  const RecordStore store = RecordStore::FromDatabase(db);
   const Record p = Rec(kReference);
   const WeightModel wm = Weights();
   AutoLeakage engine;
   IndexOptions options;
   options.inline_catchup_max = 10;
   LeakageIndex index(p, wm, &engine, nullptr, options);
-  auto got = index.QueryLocked(db);
+  auto got = index.QueryLocked(store.rows(), store.index().symbols());
   ASSERT_FALSE(got.ok());
   EXPECT_TRUE(got.status().IsFailedPrecondition());
 
   // Maintenance closes the gap; the query then succeeds as a lookup.
-  while (!index.MaintainChunkLocked(db)) {
+  while (!index.MaintainChunkLocked(store.rows(), store.index().symbols())) {
   }
-  EXPECT_TRUE(index.QueryLocked(db).ok());
+  EXPECT_TRUE(index.QueryLocked(store.rows(), store.index().symbols()).ok());
 }
 
 TEST(IncIndexTest, EventsAfterHonorsCursorAndRingCapacity) {
   const Database db = SeededDb(40, 9);
+  const RecordStore store = RecordStore::FromDatabase(db);
   const Record p = Rec(kReference);
   const WeightModel wm = Weights();
   AutoLeakage engine;
   IndexOptions options;
   options.event_capacity = 16;
   LeakageIndex index(p, wm, &engine, nullptr, options);
-  ASSERT_TRUE(index.QueryLocked(db).ok());
+  ASSERT_TRUE(index.QueryLocked(store.rows(), store.index().symbols()).ok());
 
   // 40 applies into a 16-slot ring: the oldest 24 are gone, and the batch
   // reports how many.
@@ -373,9 +391,10 @@ TEST(IncIndexTest, EventsCarryTheRunningSetLeakage) {
   db.Add(Rec("{<N, alice, 0.5>}"));
   db.Add(Rec("{<N, alice, 1>, <C, rome, 1>, <P, 123, 1>}"));
   db.Add(Rec("{<N, alice, 0.25>}"));
+  const RecordStore store = RecordStore::FromDatabase(db);
   AutoLeakage engine;
   LeakageIndex index(p, wm, &engine, nullptr);
-  ASSERT_TRUE(index.QueryLocked(db).ok());
+  ASSERT_TRUE(index.QueryLocked(store.rows(), store.index().symbols()).ok());
   auto batch = index.EventsAfter(0, 10);
   ASSERT_EQ(batch.events.size(), 3u);
   EXPECT_EQ(batch.events[0].argmax, 0);
@@ -385,12 +404,162 @@ TEST(IncIndexTest, EventsCarryTheRunningSetLeakage) {
   EXPECT_GE(batch.events[1].leakage, batch.events[0].leakage);
 }
 
+// ----- Translation and memory ----------------------------------------------
+
+/// Expects `translation` to resolve every row of `store` from `first` on to
+/// exactly the columns AppendRecordColumns builds from the stored record.
+void ExpectRowsMatchStringResolution(RowTranslation* translation,
+                                     const RecordStore& store,
+                                     const PreparedReference& prep,
+                                     std::size_t first) {
+  for (std::size_t i = first; i < store.rows().size(); ++i) {
+    RecordColumns got;
+    RecordColumns want;
+    const RecordWeightSummary g = translation->AppendRow(
+        store.rows(), i, store.index().symbols(), &got);
+    const RecordWeightSummary w =
+        AppendRecordColumns(store.database()[i], prep, &want);
+    EXPECT_EQ(g.uniform, w.uniform) << "record " << i;
+    EXPECT_EQ(g.common, w.common) << "record " << i;
+    EXPECT_EQ(got.conf, want.conf) << "record " << i;
+    EXPECT_EQ(got.weight, want.weight) << "record " << i;
+    EXPECT_EQ(got.match_pos, want.match_pos) << "record " << i;
+  }
+}
+
+TEST(IncTranslationTest, ResolvedColumnsEqualAppendRecordColumns) {
+  // p carries a label the store never sees (Z) and a value the store interns
+  // only after the translation exists (rome); records carry labels p lacks,
+  // one with an explicit weight (X) and one without (Y).
+  const Record p = Rec("{<N, alice, 1>, <C, rome, 1>, <Z, zed, 1>}");
+  const WeightModel wm = Weights("N=2,C=0.5,X=3");
+  const PreparedReference prep(p, wm);
+  RecordStore store;
+  store.Append(Rec("{<N, alice, 0.5>, <X, x1, 0.75>}"));
+  store.Append(Rec("{<N, bob, 1>}"));
+  RowTranslation translation(prep);
+  ExpectRowsMatchStringResolution(&translation, store, prep, 0);
+
+  store.Append(Rec("{<C, rome, 0.5>, <N, alice, 1>, <X, x2, 0.25>}"));
+  store.Append(Rec("{<Y, y, 0.5>, <C, rome, 1>}"));
+  store.Append(Rec("{<C, rome, 1>}"));
+  ExpectRowsMatchStringResolution(&translation, store, prep, 2);
+  // The late pair resolved: record 4 matches p's rome.
+  RecordColumns row;
+  translation.AppendRow(store.rows(), 4, store.index().symbols(), &row);
+  ASSERT_EQ(row.match_pos.size(), 1u);
+  EXPECT_NE(row.match_pos[0], PreparedReference::kNoMatch);
+
+  // A seeded store, resolved by a fresh translation under weights that
+  // differ per label.
+  const Database db = SeededDb(300, 17);
+  const RecordStore seeded = RecordStore::FromDatabase(db);
+  const PreparedReference seeded_prep(Rec(kReference), wm);
+  RowTranslation fresh(seeded_prep);
+  ExpectRowsMatchStringResolution(&fresh, seeded, seeded_prep, 0);
+}
+
+TEST(IncIndexTest, ReferenceValueInternedAfterTheIndexExists) {
+  // The index is built (and caught up) before the store has ever seen
+  // rome; the records carrying it must still match p when they arrive,
+  // through the feed and through inline catch-up alike.
+  const Record p = Rec(kReference);
+  const WeightModel wm = Weights("N=2,C=1,P=3");
+  RecordStore store;
+  ChangeFeed feed;
+  store.SetChangeFeed(&feed);
+  store.Append(Rec("{<N, alice, 0.5>}"));
+  ApproxLeakage engine;
+  auto fed = std::make_shared<LeakageIndex>(p, wm, &engine, &feed);
+  feed.Register(fed);
+  LeakageIndex lagging(p, wm, &engine, nullptr);
+  ASSERT_TRUE(store.SetLeakIndexed(*fed).ok());
+  ASSERT_TRUE(store.SetLeakIndexed(lagging).ok());
+
+  store.Append(Rec("{<N, alice, 1>, <C, rome, 1>, <P, 123, 0.75>}"));
+  store.Append(Rec("{<N, carol, 1>, <Q, q, 1>}"));
+  auto got_fed = store.SetLeakIndexed(*fed);
+  auto got_lagging = store.SetLeakIndexed(lagging);
+  ASSERT_TRUE(got_fed.ok());
+  ASSERT_TRUE(got_lagging.ok());
+
+  const PreparedReference prep(p, wm);
+  const ColumnBank bank = ColumnBank::FromDatabase(store.database(), prep);
+  std::ptrdiff_t want_argmax = -1;
+  auto want = SetLeakageColumnar(bank, engine, &want_argmax);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(want_argmax, 1);  // the late full match
+  EXPECT_EQ(got_fed->leakage, *want);
+  EXPECT_EQ(got_fed->argmax, want_argmax);
+  EXPECT_EQ(got_lagging->leakage, *want);
+  EXPECT_EQ(got_lagging->argmax, want_argmax);
+  store.SetChangeFeed(nullptr);
+  feed.Shutdown();
+}
+
+TEST(IncIndexTest, IndexEvaluationsCountOnTheColumnarPath) {
+  const Database db = SeededDb(50, 13);
+  const RecordStore store = RecordStore::FromDatabase(db);
+  obs::Counter& path = obs::MetricsRegistry::Global().GetCounter(
+      "infoleak_eval_path_total", {{"path", "columnar"}});
+  const uint64_t before = path.Value();
+  ExactLeakage engine;  // never skips, so every record is evaluated
+  LeakageIndex index(Rec(kReference), Weights(), &engine, nullptr);
+  ASSERT_TRUE(
+      index.QueryLocked(store.rows(), store.index().symbols()).ok());
+  EXPECT_EQ(path.Value() - before, db.size());
+}
+
+/// `n` records over one label set, each carrying `attrs` of its labels
+/// with a fresh value.
+Database WideDb(std::size_t n, int attrs) {
+  Database db;
+  for (std::size_t i = 0; i < n; ++i) {
+    Record r;
+    for (int a = 0; a < attrs; ++a) {
+      const std::size_t label = (i + static_cast<std::size_t>(a)) % 4;
+      r.Insert(Attribute("L" + std::to_string(label),
+                         "v" + std::to_string(i), 0.5));
+    }
+    db.Add(std::move(r));
+  }
+  return db;
+}
+
+TEST(IncIndexTest, BytesGrowNineBytesPerRecordNotPerAttribute) {
+  const Record p = Rec("{<L0, v1, 1>, <L1, v2, 1>, <L2, nowhere, 1>}");
+  const WeightModel wm = Weights();
+  AutoLeakage engine;
+  std::size_t bytes_at_3000[2] = {0, 0};
+  const int widths[2] = {1, 4};
+  for (int w = 0; w < 2; ++w) {
+    const Database db = WideDb(3000, widths[w]);
+    RecordStore store;
+    LeakageIndex index(p, wm, &engine, nullptr);
+    // Past the event ring's capacity, so only the per-record columns grow.
+    for (std::size_t i = 0; i < 2000; ++i) store.Append(db[i]);
+    ASSERT_TRUE(store.SetLeakIndexed(index).ok());
+    const std::size_t at_2000 = index.Stats().bytes;
+    for (std::size_t i = 2000; i < 3000; ++i) store.Append(db[i]);
+    ASSERT_TRUE(store.SetLeakIndexed(index).ok());
+    bytes_at_3000[w] = index.Stats().bytes;
+    EXPECT_EQ(bytes_at_3000[w] - at_2000, 9u * 1000u)
+        << widths[w] << " attributes per record";
+  }
+  // Four times the attributes cost only the wider scratch row.
+  const std::size_t diff = bytes_at_3000[1] > bytes_at_3000[0]
+                               ? bytes_at_3000[1] - bytes_at_3000[0]
+                               : bytes_at_3000[0] - bytes_at_3000[1];
+  EXPECT_LT(diff, 256u);
+}
+
 // ----- ChangeFeed ----------------------------------------------------------
 
 /// Registered sinks must survive publishes (a weak_ptr self-move once
 /// emptied the registry on every publish) and receive each delta once.
 TEST(IncFeedTest, PublishKeepsLiveSinksRegistered) {
   const Database db = SeededDb(10, 21);
+  const RecordStore store = RecordStore::FromDatabase(db);
   const Record p = Rec(kReference);
   const WeightModel wm = Weights();
   AutoLeakage engine;
@@ -400,7 +569,8 @@ TEST(IncFeedTest, PublishKeepsLiveSinksRegistered) {
   ASSERT_EQ(feed.registered(), 1u);
 
   for (std::size_t i = 0; i < db.size(); ++i) {
-    AppendDelta delta{static_cast<RecordId>(i), &db[i]};
+    AppendDelta delta{static_cast<RecordId>(i), &store.rows(),
+                      &store.index().symbols()};
     feed.PublishAppend(delta);
     ASSERT_EQ(feed.registered(), 1u) << "publish dropped a live sink";
   }
@@ -430,6 +600,7 @@ TEST(IncFeedTest, DeadSinksArePrunedAndEpochBumpsFanOut) {
 
 TEST(IncFeedTest, MaintenanceThreadRunsTheMaintainerHook) {
   const Database db = SeededDb(64, 31);
+  const RecordStore store = RecordStore::FromDatabase(db);
   const Record p = Rec(kReference);
   const WeightModel wm = Weights();
   AutoLeakage engine;
@@ -438,7 +609,9 @@ TEST(IncFeedTest, MaintenanceThreadRunsTheMaintainerHook) {
   options.maintenance_chunk = 16;
   auto index = std::make_shared<LeakageIndex>(
       p, wm, &engine, &feed, options,
-      [&db](LeakageIndex& idx) { return idx.MaintainChunkLocked(db); });
+      [&store](LeakageIndex& idx) {
+        return idx.MaintainChunkLocked(store.rows(), store.index().symbols());
+      });
   feed.Register(index);
   feed.RequestMaintenance(index);
   // The maintenance thread re-enqueues until the index reports done.
@@ -455,10 +628,11 @@ TEST(IncFeedTest, WaitForSequenceReturnsOnPublishAndOnTimeout) {
   EXPECT_EQ(feed.WaitForSequence(feed.sequence(), /*timeout_ms=*/20, {}),
             feed.sequence());
   // Publish path: a delta wakes the waiter.
-  const Record r = Rec("{<N, x, 1>}");
+  RecordStore store;
+  store.Append(Rec("{<N, x, 1>}"));
   std::thread publisher([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    AppendDelta delta{0, &r};
+    AppendDelta delta{0, &store.rows(), &store.index().symbols()};
     feed.PublishAppend(delta);
   });
   const uint64_t seen =

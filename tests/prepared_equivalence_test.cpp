@@ -74,7 +74,6 @@ void ExpectBitIdentical(const LeakageEngine& engine, const Record& r,
   for (std::size_t i = 0; i < v.size; ++i) {
     EXPECT_EQ(h.conf[i], v.conf[i]);
     EXPECT_EQ(h.weight[i], v.weight[i]);
-    EXPECT_EQ(h.label[i], v.label[i]);
     EXPECT_EQ(h.match_pos[i], v.match_pos[i]);
   }
   LeakageWorkspace ws;
