@@ -5,7 +5,15 @@
 // plus a one-record delta (flat in |R|). In rescan mode it is
 // RecordStore::SetLeakColumnar over a bank the bench owns: the bank is
 // extended by the new record and the whole store is scanned (linear in
-// |R|). Both modes must land on identical bits. Writes the
+// |R|). Both modes must land on identical bits.
+//
+// The cold modes time what a cache miss costs at the store layer: the
+// first query of a fresh LeakageIndex (RecordStore::SetLeakIndexed, the
+// whole store owed as catch-up). cold-population queries one person of a
+// population store (|R|/10 people, ten records each), so only that
+// person's records share a pair with the reference; cold-single queries the
+// Table-4 store, where every record derives from the reference. Each cold
+// answer must equal the columnar rescan's bits. Writes the
 // BENCH_incremental.json sidecar for CI.
 
 #include <algorithm>
@@ -19,6 +27,8 @@
 #include "core/column_bank.h"
 #include "core/record_io.h"
 #include "gen/generator.h"
+#include "gen/population.h"
+#include "inc/leakage_index.h"
 #include "store/record_store.h"
 #include "svc/json.h"
 #include "svc/protocol.h"
@@ -121,6 +131,45 @@ Result<ModePoint> RunMode(const SyntheticDataset& data, std::size_t base,
   return point;
 }
 
+/// Times `queries` first queries, each of a fresh index over `db` for
+/// `reference` (unit weights, the auto engine — the service's defaults),
+/// and checks the answer against a columnar rescan.
+Result<ModePoint> RunCold(const Database& db, const Record& reference,
+                          int queries) {
+  const RecordStore store = RecordStore::FromDatabase(db);
+  const WeightModel unit;
+  AutoLeakage engine;
+  ModePoint point;
+  std::vector<double> micros;
+  for (int q = 0; q < queries; ++q) {
+    inc::LeakageIndex index(reference, unit, &engine, /*feed=*/nullptr);
+    const Clock::time_point t0 = Clock::now();
+    auto answer = store.SetLeakIndexed(index);
+    micros.push_back(
+        std::chrono::duration<double, std::micro>(Clock::now() - t0).count());
+    if (!answer.ok()) return answer.status();
+    point.leakage = answer->leakage;
+    point.argmax = static_cast<double>(answer->argmax);
+  }
+  const PreparedReference prepared(reference, unit);
+  ColumnBank bank(prepared);
+  std::shared_mutex bank_mu;
+  std::ptrdiff_t argmax = -1;
+  auto want = store.SetLeakColumnar(bank, bank_mu, engine, &argmax);
+  if (!want.ok()) return want.status();
+  if (*want != point.leakage || static_cast<double>(argmax) != point.argmax) {
+    return Status::Internal("cold index and rescan disagree");
+  }
+  point.queries = micros.size();
+  double sum = 0.0;
+  for (double us : micros) sum += us;
+  point.mean_us = sum / static_cast<double>(micros.size());
+  std::sort(micros.begin(), micros.end());
+  point.p50_us = PercentileUs(micros, 0.50);
+  point.p99_us = PercentileUs(micros, 0.99);
+  return point;
+}
+
 int Main() {
   const std::vector<std::size_t> sizes{1000, 10000, 100000};
   const int rounds = 64;
@@ -134,9 +183,15 @@ int Main() {
     return 1;
   }
 
-  PrintTitle("bench_incremental: append->query latency, index vs rescan",
-             config.ToString() + " rounds=" + std::to_string(rounds));
-  BenchReport report("incremental", config.ToString(),
+  const int cold_queries = 16;
+  const std::string cold_config =
+      " cold: " + std::to_string(cold_queries) +
+      " first queries; population of |R|/10 people x 10 records";
+  PrintTitle("bench_incremental: append->query latency, index vs rescan; "
+             "cold first-query cost",
+             config.ToString() + " rounds=" + std::to_string(rounds) +
+                 cold_config);
+  BenchReport report("incremental", config.ToString() + cold_config,
                      {"records", "mode", "queries", "mean_us", "p50_us",
                       "p99_us"});
   RowPrinter rows(
@@ -176,6 +231,38 @@ int Main() {
                    base, got[0].leakage, got[1].leakage, got[0].argmax,
                    got[1].argmax);
       return 1;
+    }
+  }
+  for (std::size_t base : sizes) {
+    GeneratorConfig pop_config = GeneratorConfig::Basic();
+    pop_config.n = config.n;
+    auto population = GeneratePopulation(pop_config, base / 10, 10);
+    if (!population.ok()) {
+      std::fprintf(stderr, "population: %s\n",
+                   population.status().ToString().c_str());
+      return 1;
+    }
+    Database single;
+    for (std::size_t i = 0; i < base; ++i) single.Add(data->records[i]);
+    const struct {
+      const char* name;
+      const Database* db;
+      const Record* reference;
+    } stores[] = {
+        {"cold-population", &population->records,
+         &population->references[population->references.size() / 2]},
+        {"cold-single", &single, &data->reference},
+    };
+    for (const auto& cold : stores) {
+      auto point = RunCold(*cold.db, *cold.reference, cold_queries);
+      if (!point.ok()) {
+        std::fprintf(stderr, "records=%zu mode=%s: %s\n", base, cold.name,
+                     point.status().ToString().c_str());
+        return 1;
+      }
+      rows.Row({std::to_string(base), cold.name,
+                std::to_string(point->queries), Fmt(point->mean_us, 6),
+                Fmt(point->p50_us, 6), Fmt(point->p99_us, 6)});
     }
   }
   Status written = report.WriteFile(".");

@@ -70,6 +70,7 @@ void InternedRows::Reserve(std::size_t records, std::size_t attributes) {
 
 RowTranslation::RowTranslation(const PreparedReference& ref) : ref_(&ref) {
   match_.Reserve(ref.size());
+  resolved_.reserve(ref.size());
   unresolved_.reserve(ref.size());
   for (std::size_t j = 0; j < ref.size(); ++j) {
     unresolved_.push_back(static_cast<uint32_t>(j));
@@ -104,6 +105,7 @@ void RowTranslation::Sync(const Symbols& symbols) {
       unresolved_[kept++] = pos;
     } else {
       match_.Insert(PackSymbolPair(label, value), pos);
+      resolved_.push_back(PackSymbolPair(label, value));
     }
   }
   unresolved_.resize(kept);
@@ -134,6 +136,7 @@ RecordWeightSummary RowTranslation::AppendRow(const InternedRows& rows,
 
 std::size_t RowTranslation::bytes() const {
   return label_weight_.capacity() * sizeof(double) + match_.bytes() +
+         resolved_.capacity() * sizeof(uint64_t) +
          unresolved_.capacity() * sizeof(uint32_t);
 }
 

@@ -255,11 +255,32 @@ struct InternedRows {
   std::vector<uint32_t> label;
   std::vector<uint32_t> value;
   std::vector<uint64_t> offset = {0};  ///< size() + 1 entries
+  /// Ids of the rows carrying a NaN confidence, ascending. Such a row can
+  /// fail an evaluation even when it matches nothing in a reference, so a
+  /// leakage index visits it as if it did (see PairPostings).
+  std::vector<RecordId> nan_rows;
 
   std::size_t size() const { return offset.size() - 1; }
 
   /// Pre-sizes for `records` more records of `attributes` cells in total.
   void Reserve(std::size_t records, std::size_t attributes);
+};
+
+/// \brief A store's posting lists keyed by packed (label, value) id pairs
+/// — what a leakage index walks to reach the only rows that can match its
+/// reference. Implemented by the store's `InvertedIndex`; declared here so
+/// the incremental plane can read a store without depending on it.
+class PairPostings {
+ public:
+  virtual ~PairPostings() = default;
+
+  /// The symbol tables the packed ids (and the store's rows) index.
+  virtual const Symbols& symbols() const = 0;
+
+  /// Ascending ids of the rows carrying `pair` (`PackSymbolPair` of ids
+  /// into `symbols()`), or nullptr when none does. Unsynchronized: the
+  /// caller quiesces writers while it reads the list.
+  virtual const std::vector<RecordId>* FindPair(uint64_t pair) const = 0;
 };
 
 /// \brief The per-reference half of `AppendRecordColumns` for records that
@@ -285,17 +306,23 @@ class RowTranslation {
   RecordWeightSummary AppendRow(const InternedRows& rows, std::size_t i,
                                 const Symbols& symbols, RecordColumns* cols);
 
+  /// Catches the tables up with whatever `symbols` interned since the last
+  /// call (AppendRow does this itself).
+  void Sync(const Symbols& symbols);
+
+  /// The pairs of `p` the store has interned, as packed store ids, in the
+  /// order they resolved: a row matches `p` iff it carries one of them.
+  /// Current as of the last Sync.
+  const std::vector<uint64_t>& resolved_pairs() const { return resolved_; }
+
   /// Bytes held by the translation tables.
   std::size_t bytes() const;
 
  private:
-  /// Catches the tables up with whatever `symbols` interned since the last
-  /// call.
-  void Sync(const Symbols& symbols);
-
   const PreparedReference* ref_;
   std::vector<double> label_weight_;  // store label id -> weight
   FlatPairMap match_;                 // packed store ids -> position in p
+  std::vector<uint64_t> resolved_;    // match_'s keys
   std::vector<uint32_t> unresolved_;  // positions of p the store lacks
   std::size_t labels_seen_ = 0;       // store table sizes at the last retry
   std::size_t values_seen_ = 0;

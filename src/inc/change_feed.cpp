@@ -47,6 +47,13 @@ void ChangeFeed::Shutdown() {
 
 void ChangeFeed::Register(const std::shared_ptr<DeltaSink>& sink) {
   std::lock_guard lock(sinks_mu_);
+  // Prune here as well as on publish: a weak_ptr keeps its sink's control
+  // block (and, with make_shared, the sink's storage) allocated, so on a
+  // store that sees no appends every evicted index would otherwise stay
+  // resident behind its registration.
+  std::erase_if(sinks_, [](const std::weak_ptr<DeltaSink>& weak) {
+    return weak.expired();
+  });
   sinks_.push_back(sink);
 }
 

@@ -59,7 +59,8 @@ class DeltaSink {
 /// when it resets the WAL (the CDC source restarted, derived state must
 /// re-fence). Registered sinks are held weakly — an index dropped by its
 /// owner simply stops receiving deltas; expired registrations are pruned
-/// on the next publish.
+/// on the next publish or registration, so the registry stays bounded by
+/// the live sinks even when nothing is appended.
 ///
 /// The feed also owns the maintenance thread that performs background
 /// rebuilds: sinks enqueue themselves (`RequestMaintenance`) and the thread
@@ -80,7 +81,8 @@ class ChangeFeed {
   ChangeFeed(const ChangeFeed&) = delete;
   ChangeFeed& operator=(const ChangeFeed&) = delete;
 
-  /// Registers a sink (weak). The sink starts receiving deltas immediately.
+  /// Registers a sink (weak), pruning expired registrations. The sink
+  /// starts receiving deltas immediately.
   void Register(const std::shared_ptr<DeltaSink>& sink);
 
   /// Fans one append out to every live sink, prunes expired ones, and wakes

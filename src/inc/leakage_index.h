@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -71,10 +70,9 @@ struct IndexStats {
   uint64_t events_dropped = 0;
   double best = 0.0;
   std::ptrdiff_t best_index = -1;
-  /// Bytes the index retains: the per-record value column and exact flags
-  /// (9 B per covered record), the top-k, the event ring, the translation
-  /// tables and the one-record scratch row. Independent of how many
-  /// attributes the store's records carry.
+  /// Bytes the index retains, by capacity: the top-k, the event ring, the
+  /// translation tables and the one-record scratch row. Independent of how
+  /// many records the index covers once the ring is full.
   std::size_t bytes = 0;
 };
 
@@ -88,10 +86,18 @@ struct IndexStats {
 /// index-backed set-leak answers from the maintained maximum plus a
 /// catch-up delta, instead of rescanning |R| records. It is the service's
 /// only set-leak path: a cold index catches up over the whole store on its
-/// first query. The index keeps no columns of the store: per reference it
-/// holds the translation (store label id → weight, store (label, value)
-/// pair → position in p) and 9 B per record (value and exact flag), so
-/// the store's rows are shared by every reference.
+/// first query. The index keeps no columns of the store and nothing per
+/// record: per reference it holds the translation (store label id →
+/// weight, store (label, value) pair → position in p), the top-k and the
+/// event ring, so the store's rows are shared by every reference.
+///
+/// Catch-up is posting-driven for the skip-eligible engines (below): a
+/// record that shares no (label, value) pair with p has overlap 0 in every
+/// world, so its leakage is exactly +0.0 with bounds (0, 0). Catch-up
+/// therefore evaluates only the records on p's posting lists in the store
+/// and accounts each run of other records in O(1) — with the answer,
+/// argmax, top-k, events and counters the record-at-a-time walk would
+/// produce. Engines with structural errors walk every id.
 ///
 /// Bit-identity contract: every answer — value, argmax or error — equals
 /// what a cold `SetLeakageColumnar` over the same records returns, bit for
@@ -101,11 +107,12 @@ struct IndexStats {
 /// since the k-th value never exceeds the maximum, cannot change the
 /// answer). The skip is restricted to engines whose only failure mode is
 /// non-finite arithmetic (auto, approx) — such failures surface as
-/// non-finite bounds and force the exact evaluation — never to engines with
-/// structural errors invisible to the bounds (naive's record-size cap,
-/// exact's uniform-weight requirement). So records are evaluated in id
-/// order and none that could fail is skipped: the first evaluation error
-/// is the scan's first error. It poisons the index until the next epoch
+/// non-finite bounds and force the exact evaluation, and a row with a NaN
+/// confidence, whose bounds can stay finite, is never skipped — never to
+/// engines with structural errors invisible to the bounds (naive's
+/// record-size cap, exact's uniform-weight requirement). So records are
+/// evaluated in id order and none that could fail is skipped: the first
+/// evaluation error is the scan's first error. It poisons the index until the next epoch
 /// bump, and every query returns that status unchanged, whatever has been
 /// appended since.
 ///
@@ -146,9 +153,9 @@ class LeakageIndex final : public DeltaSink,
 
   // ----- Store-called entry points (store reader lock held) ----------------
 
-  // `rows` are the store's interned rows and `symbols` the tables their ids
-  // index (RecordStore::rows() and index().symbols()); neither may change
-  // during the call.
+  // `rows` are the store's interned rows and `postings` its posting lists
+  // over the symbol tables those rows' ids index (RecordStore::rows() and
+  // index()); neither may change during the call.
 
   /// Answers set-leak from the materialized view, closing any gap inline
   /// first (charged to the eval phase of `ctx` — the delta is real kernel
@@ -159,14 +166,15 @@ class LeakageIndex final : public DeltaSink,
   /// FailedPrecondition when the gap exceeds it (a background rebuild is
   /// then scheduled).
   Result<IndexAnswer> QueryLocked(const InternedRows& rows,
-                                  const Symbols& symbols,
+                                  const PairPostings& postings,
                                   const std::function<bool()>& cancel = {},
                                   obs::RequestContext* ctx = nullptr);
 
   /// One background catch-up chunk (at most `options.maintenance_chunk`
   /// records). Returns true when the index covers all of `rows` (or is
   /// poisoned — there is nothing more maintenance can do).
-  bool MaintainChunkLocked(const InternedRows& rows, const Symbols& symbols);
+  bool MaintainChunkLocked(const InternedRows& rows,
+                           const PairPostings& postings);
 
   // ----- Subscribe support -------------------------------------------------
 
@@ -183,15 +191,33 @@ class LeakageIndex final : public DeltaSink,
   IndexStats Stats() const;
 
  private:
+  /// Extends the view over rows [covered, end): the one catch-up loop
+  /// behind QueryLocked and MaintainChunkLocked. Posting-driven indexes
+  /// merge p's posting lists (and the rows with a NaN confidence) 64 ids
+  /// at a time, with one cursor per list, apply every record they name
+  /// through ApplyOneLocked and every run between them through
+  /// ApplyZerosLocked; the others apply every id. Polls `cancel` before every 64th applied record. Returns the
+  /// poison status, or DeadlineExceeded when cancelled.
+  Status CatchUpLocked(const InternedRows& rows, const PairPostings& postings,
+                       std::size_t end, const std::function<bool()>& cancel);
+
   /// Extends the materialized view by the next uncovered row of `rows`:
   /// resolves it into the scratch row, either proves it cannot enter the
-  /// top-k (bounds skip) or evaluates it exactly, repairs the running max /
-  /// argmax / top-k, and records the delta event. Must mirror
-  /// ScanColumnRange's accumulation exactly. On evaluation error: poisons
-  /// the index and returns the error.
+  /// top-k (bounds skip) or evaluates it exactly, and accounts it. Must
+  /// mirror ScanColumnRange's accumulation exactly. On evaluation error:
+  /// poisons the index and returns the error.
   Status ApplyOneLocked(const InternedRows& rows, const Symbols& symbols);
+
+  /// Accounts the next `n` rows as records that match nothing in p, each
+  /// an exact +0.0 — in O(top_k + event_capacity), whatever `n` is.
+  void ApplyZerosLocked(std::size_t n);
+
+  /// Accounts the next row as applied with `value` (an upper bound when
+  /// `skipped`): repairs the running max / argmax / top-k and records the
+  /// delta event.
+  void AccountLocked(double value, bool skipped);
+  void PushEventLocked(RecordId record_id, double value, bool skipped);
   void ResetLocked(uint64_t epoch);
-  std::size_t covered() const { return leak_.size(); }
 
   struct TopEntry {
     double value = 0.0;
@@ -205,20 +231,23 @@ class LeakageIndex final : public DeltaSink,
   ChangeFeed* const feed_;             // borrowed; may be null in tests
   const IndexOptions options_;
   const bool skip_eligible_;
+  const bool posting_driven_;
   const Maintainer maintainer_;
 
   mutable std::mutex mu_;
   RowTranslation translation_;  // store ids -> p; borrows prepared_
   RecordColumns scratch_;       // the row being applied, resolved
-  std::vector<double> leak_;   // per-record value (upper bound when !exact_)
-  std::vector<uint8_t> exact_;
-  std::vector<TopEntry> top_;  // sorted by (value desc, index asc)
+  std::size_t covered_ = 0;     // rows applied since the last reset
+  std::vector<TopEntry> top_;   // sorted by (value desc, index asc)
   double best_ = 0.0;
   std::ptrdiff_t best_index_ = -1;
   uint64_t epoch_ = 0;
   bool poisoned_ = false;
   Status poison_ = Status::OK();
-  std::deque<DeltaEvent> events_;
+  // Ring of the last event_capacity events; once full, events_[events_head_]
+  // is the oldest.
+  std::vector<DeltaEvent> events_;
+  std::size_t events_head_ = 0;
   uint64_t next_event_seq_ = 1;
   uint64_t events_dropped_ = 0;
   uint64_t applied_ = 0;

@@ -1,6 +1,7 @@
 #include "store/inverted_index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <mutex>
 
 #include "obs/metrics.h"
@@ -48,6 +49,12 @@ void InvertedIndex::Add(RecordId id, const Record& record,
                         InternedRows* rows) {
   Metrics().adds.Inc();
   std::unique_lock lock(mu_);
+  if (rows != nullptr) {
+    const bool has_nan = std::any_of(
+        record.begin(), record.end(),
+        [](const Attribute& a) { return std::isnan(a.confidence); });
+    if (has_nan) rows->nan_rows.push_back(id);
+  }
   for (const auto& a : record) {
     const uint32_t label = syms_.labels.Intern(a.label);
     const uint32_t value = syms_.values.Intern(a.value);
@@ -93,6 +100,11 @@ std::vector<RecordId> InvertedIndex::Postings(std::string_view label,
   std::shared_lock lock(mu_);
   const auto* list = FindLocked(label, value);
   return list != nullptr ? *list : std::vector<RecordId>{};
+}
+
+const std::vector<RecordId>* InvertedIndex::FindPair(uint64_t pair) const {
+  auto it = postings_.find(pair);
+  return it == postings_.end() || it->second.empty() ? nullptr : &it->second;
 }
 
 std::vector<RecordId> InvertedIndex::Candidates(

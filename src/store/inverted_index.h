@@ -28,7 +28,7 @@ namespace infoleak {
 /// readers, but the returned pointer must not be dereferenced while a
 /// writer may run (use `Postings` there). Moves and copies are not
 /// synchronized; perform them before sharing the index across threads.
-class InvertedIndex {
+class InvertedIndex final : public PairPostings {
  public:
   InvertedIndex() = default;
   // Move-only (the symbol tables are); moves transfer the data but never
@@ -52,6 +52,12 @@ class InvertedIndex {
   std::vector<RecordId> Postings(std::string_view label,
                                  std::string_view value) const;
 
+  /// Posting list for a packed (label id, value id) pair of `symbols()`;
+  /// nullptr when empty. Takes no lock and counts no lookup metrics: it is
+  /// the leakage indexes' catch-up path, run under the owning store's read
+  /// lock (see Find for the pointer's contract).
+  const std::vector<RecordId>* FindPair(uint64_t pair) const override;
+
   /// Ids of records sharing at least one (label, value) with `record`,
   /// restricted to `labels` (all labels when empty). Sorted, deduplicated.
   std::vector<RecordId> Candidates(
@@ -62,7 +68,7 @@ class InvertedIndex {
 
   /// The index's interning tables (shared vocabulary of everything added).
   /// Unsynchronized view — callers must quiesce writers.
-  const Symbols& symbols() const { return syms_; }
+  const Symbols& symbols() const override { return syms_; }
 
  private:
   /// Lookup core shared by Find/Postings/Candidates; caller holds mu_.

@@ -105,12 +105,12 @@ Result<inc::IndexAnswer> RecordStore::SetLeakIndexed(
     inc::LeakageIndex& index, const std::function<bool()>& cancel,
     obs::RequestContext* ctx) const {
   std::shared_lock lock(mu_);
-  return index.QueryLocked(rows_, index_.symbols(), cancel, ctx);
+  return index.QueryLocked(rows_, index_, cancel, ctx);
 }
 
 bool RecordStore::MaintainIndex(inc::LeakageIndex& index) const {
   std::shared_lock lock(mu_);
-  return index.MaintainChunkLocked(rows_, index_.symbols());
+  return index.MaintainChunkLocked(rows_, index_);
 }
 
 Status RecordStore::Flush(const std::string& path) const {

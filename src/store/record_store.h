@@ -118,7 +118,8 @@ class RecordStore {
 
   /// Serving path: answers set-leak from a materialized `LeakageIndex`
   /// under the store's read lock (one consistent snapshot). The index
-  /// closes any gap inline from the store's interned rows; see
+  /// closes any gap inline from the store's interned rows and posting
+  /// lists (the inverted index, as `PairPostings`); see
   /// LeakageIndex::QueryLocked for the failure contract. Answers and errors
   /// are bit-identical to `SetLeakColumnar` with the same reference and
   /// engine.

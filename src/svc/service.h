@@ -48,11 +48,12 @@ struct ServiceConfig {
 /// `inc::ChangeFeed`, so the store pushes every append into the indexes and
 /// a query is an index lookup plus whatever catch-up the index still owes
 /// (the whole store on a reference's first query) — bit-identical to a
-/// cold columnar scan, errors included. The catch-up resolves the store's
-/// interned rows through the index's small per-reference translation, so a
-/// cached reference costs its translation plus 9 B per stored record, not
-/// a copy of the store's columns (`stats` reports the sum as
-/// `index.bytes`).
+/// cold columnar scan, errors included. The catch-up walks the store's
+/// posting lists for the reference's pairs and resolves those interned
+/// rows through the index's small per-reference translation, so a cached
+/// reference costs its translation, top-k and event ring — nothing per
+/// stored record, and no copy of the store's columns (`stats` reports the
+/// sum as `index.bytes`).
 ///
 /// Verbs: `ping`, `append`, `leak`, `set-leak`, `resolve`, `subscribe`,
 /// `compact`, `stats`, `tail`, `frontier` — see protocol.h for the wire

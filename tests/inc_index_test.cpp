@@ -90,7 +90,7 @@ TEST(IncIndexTest, QueryMatchesColdRescanBitExactly) {
     ASSERT_TRUE(want.ok()) << engine->name();
 
     LeakageIndex index(p, wm, engine, /*feed=*/nullptr);
-    auto got = index.QueryLocked(store.rows(), store.index().symbols());
+    auto got = index.QueryLocked(store.rows(), store.index());
     ASSERT_TRUE(got.ok()) << engine->name() << ": " << got.status().ToString();
     EXPECT_EQ(got->leakage, *want) << engine->name();  // exact, not near
     EXPECT_EQ(got->argmax, want_argmax) << engine->name();
@@ -118,7 +118,7 @@ TEST(IncIndexTest, MeasureEngineQueriesMatchColdRescanBitExactly) {
     ASSERT_TRUE(want.ok()) << engine->name();
 
     LeakageIndex index(p, wm, engine, /*feed=*/nullptr);
-    auto got = index.QueryLocked(store.rows(), store.index().symbols());
+    auto got = index.QueryLocked(store.rows(), store.index());
     ASSERT_TRUE(got.ok()) << engine->name() << ": " << got.status().ToString();
     EXPECT_EQ(got->leakage, *want) << engine->name();  // exact, not near
     EXPECT_EQ(got->argmax, want_argmax) << engine->name();
@@ -143,8 +143,8 @@ TEST(IncIndexTest, MeasureIndexNeverServesStaleDefaultAnswers) {
   LeakageIndex pml_index(p, wm, MeasureEngineSingleton(Measure::kPml),
                          nullptr);
   auto expected =
-      default_index.QueryLocked(store.rows(), store.index().symbols());
-  auto pml = pml_index.QueryLocked(store.rows(), store.index().symbols());
+      default_index.QueryLocked(store.rows(), store.index());
+  auto pml = pml_index.QueryLocked(store.rows(), store.index());
   ASSERT_TRUE(expected.ok());
   ASSERT_TRUE(pml.ok());
   EXPECT_NE(pml->leakage, expected->leakage)
@@ -163,7 +163,7 @@ TEST(IncIndexTest, MeasureEngineAppendsMatchOneShotCatchup) {
   const LeakageEngine* engine = MeasureEngineSingleton(Measure::kGuesswork);
 
   LeakageIndex one_shot(p, wm, engine, nullptr);
-  auto want = one_shot.QueryLocked(store.rows(), store.index().symbols());
+  auto want = one_shot.QueryLocked(store.rows(), store.index());
   ASSERT_TRUE(want.ok());
 
   LeakageIndex stepped(p, wm, engine, nullptr);
@@ -172,7 +172,7 @@ TEST(IncIndexTest, MeasureEngineAppendsMatchOneShotCatchup) {
                       &store.index().symbols()};
     stepped.OnAppend(delta);
   }
-  auto got = stepped.QueryLocked(store.rows(), store.index().symbols());
+  auto got = stepped.QueryLocked(store.rows(), store.index());
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->leakage, want->leakage);
   EXPECT_EQ(got->argmax, want->argmax);
@@ -189,7 +189,7 @@ TEST(IncIndexTest, IncrementalAppendsMatchOneShotCatchup) {
   AutoLeakage engine;
 
   LeakageIndex one_shot(p, wm, &engine, nullptr);
-  auto want = one_shot.QueryLocked(store.rows(), store.index().symbols());
+  auto want = one_shot.QueryLocked(store.rows(), store.index());
   ASSERT_TRUE(want.ok());
 
   LeakageIndex stepped(p, wm, &engine, nullptr);
@@ -199,7 +199,7 @@ TEST(IncIndexTest, IncrementalAppendsMatchOneShotCatchup) {
     stepped.OnAppend(delta);
   }
   // No gap left: a pure lookup.
-  auto got = stepped.QueryLocked(store.rows(), store.index().symbols());
+  auto got = stepped.QueryLocked(store.rows(), store.index());
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->leakage, want->leakage);
   EXPECT_EQ(got->argmax, want->argmax);
@@ -221,7 +221,7 @@ TEST(IncIndexTest, OutOfOrderAppendIsIgnoredAndCatchupHeals) {
   index.OnAppend(future);
   EXPECT_EQ(index.Stats().covered, 0u);
 
-  auto got = index.QueryLocked(store.rows(), store.index().symbols());
+  auto got = index.QueryLocked(store.rows(), store.index());
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->records, db.size());
 }
@@ -243,7 +243,7 @@ TEST(IncIndexTest, BoundSkipFiresAndNeverChangesTheAnswer) {
   IndexOptions options;
   options.top_k = 4;
   LeakageIndex index(p, wm, &engine, nullptr, options);
-  auto got = index.QueryLocked(store.rows(), store.index().symbols());
+  auto got = index.QueryLocked(store.rows(), store.index());
   ASSERT_TRUE(got.ok());
   const IndexStats stats = index.Stats();
   EXPECT_GT(stats.bound_skips, 0u) << "the skip never fired";
@@ -275,7 +275,7 @@ TEST(IncIndexTest, StructuralErrorEnginesNeverSkip) {
   RecordStore store = RecordStore::FromDatabase(db);
   NaiveLeakage tiny(/*max_attributes=*/2);
   LeakageIndex index(p, wm, &tiny, nullptr);
-  auto got = index.QueryLocked(store.rows(), store.index().symbols());
+  auto got = index.QueryLocked(store.rows(), store.index());
   ASSERT_FALSE(got.ok());
 
   const IndexStats stats = index.Stats();
@@ -298,7 +298,7 @@ TEST(IncIndexTest, StructuralErrorEnginesNeverSkip) {
   db.Add(Rec("{<N, alice, 1>, <C, rome, 1>, <P, 123, 1>, <Z, 9, 1>}"));
   store.Append(db[db.size() - 1]);
   bank.ExtendFrom(db);
-  auto later = index.QueryLocked(store.rows(), store.index().symbols());
+  auto later = index.QueryLocked(store.rows(), store.index());
   auto later_scan = SetLeakageColumnar(bank, tiny, nullptr);
   ASSERT_FALSE(later.ok());
   ASSERT_FALSE(later_scan.ok());
@@ -314,7 +314,7 @@ TEST(IncIndexTest, EpochBumpResetsAndRebuildRestoresTheAnswer) {
   const WeightModel wm = Weights();
   AutoLeakage engine;
   LeakageIndex index(p, wm, &engine, nullptr);
-  auto before = index.QueryLocked(store.rows(), store.index().symbols());
+  auto before = index.QueryLocked(store.rows(), store.index());
   ASSERT_TRUE(before.ok());
 
   index.OnEpochBump(3, "compact");
@@ -323,9 +323,9 @@ TEST(IncIndexTest, EpochBumpResetsAndRebuildRestoresTheAnswer) {
   EXPECT_EQ(stats.covered, 0u);
 
   // Background-style rebuild in chunks, then a pure-lookup query.
-  while (!index.MaintainChunkLocked(store.rows(), store.index().symbols())) {
+  while (!index.MaintainChunkLocked(store.rows(), store.index())) {
   }
-  auto after = index.QueryLocked(store.rows(), store.index().symbols());
+  auto after = index.QueryLocked(store.rows(), store.index());
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->leakage, before->leakage);
   EXPECT_EQ(after->argmax, before->argmax);
@@ -341,14 +341,14 @@ TEST(IncIndexTest, TooFarBehindRefusesInlineCatchup) {
   IndexOptions options;
   options.inline_catchup_max = 10;
   LeakageIndex index(p, wm, &engine, nullptr, options);
-  auto got = index.QueryLocked(store.rows(), store.index().symbols());
+  auto got = index.QueryLocked(store.rows(), store.index());
   ASSERT_FALSE(got.ok());
   EXPECT_TRUE(got.status().IsFailedPrecondition());
 
   // Maintenance closes the gap; the query then succeeds as a lookup.
-  while (!index.MaintainChunkLocked(store.rows(), store.index().symbols())) {
+  while (!index.MaintainChunkLocked(store.rows(), store.index())) {
   }
-  EXPECT_TRUE(index.QueryLocked(store.rows(), store.index().symbols()).ok());
+  EXPECT_TRUE(index.QueryLocked(store.rows(), store.index()).ok());
 }
 
 TEST(IncIndexTest, EventsAfterHonorsCursorAndRingCapacity) {
@@ -360,7 +360,7 @@ TEST(IncIndexTest, EventsAfterHonorsCursorAndRingCapacity) {
   IndexOptions options;
   options.event_capacity = 16;
   LeakageIndex index(p, wm, &engine, nullptr, options);
-  ASSERT_TRUE(index.QueryLocked(store.rows(), store.index().symbols()).ok());
+  ASSERT_TRUE(index.QueryLocked(store.rows(), store.index()).ok());
 
   // 40 applies into a 16-slot ring: the oldest 24 are gone, and the batch
   // reports how many.
@@ -394,7 +394,7 @@ TEST(IncIndexTest, EventsCarryTheRunningSetLeakage) {
   const RecordStore store = RecordStore::FromDatabase(db);
   AutoLeakage engine;
   LeakageIndex index(p, wm, &engine, nullptr);
-  ASSERT_TRUE(index.QueryLocked(store.rows(), store.index().symbols()).ok());
+  ASSERT_TRUE(index.QueryLocked(store.rows(), store.index()).ok());
   auto batch = index.EventsAfter(0, 10);
   ASSERT_EQ(batch.events.size(), 3u);
   EXPECT_EQ(batch.events[0].argmax, 0);
@@ -506,7 +506,7 @@ TEST(IncIndexTest, IndexEvaluationsCountOnTheColumnarPath) {
   ExactLeakage engine;  // never skips, so every record is evaluated
   LeakageIndex index(Rec(kReference), Weights(), &engine, nullptr);
   ASSERT_TRUE(
-      index.QueryLocked(store.rows(), store.index().symbols()).ok());
+      index.QueryLocked(store.rows(), store.index()).ok());
   EXPECT_EQ(path.Value() - before, db.size());
 }
 
@@ -526,7 +526,7 @@ Database WideDb(std::size_t n, int attrs) {
   return db;
 }
 
-TEST(IncIndexTest, BytesGrowNineBytesPerRecordNotPerAttribute) {
+TEST(IncIndexTest, BytesDoNotGrowWithCoveredRecords) {
   const Record p = Rec("{<L0, v1, 1>, <L1, v2, 1>, <L2, nowhere, 1>}");
   const WeightModel wm = Weights();
   AutoLeakage engine;
@@ -536,14 +536,16 @@ TEST(IncIndexTest, BytesGrowNineBytesPerRecordNotPerAttribute) {
     const Database db = WideDb(3000, widths[w]);
     RecordStore store;
     LeakageIndex index(p, wm, &engine, nullptr);
-    // Past the event ring's capacity, so only the per-record columns grow.
+    // Past the event ring's capacity, so nothing the index retains can
+    // still be growing.
     for (std::size_t i = 0; i < 2000; ++i) store.Append(db[i]);
     ASSERT_TRUE(store.SetLeakIndexed(index).ok());
     const std::size_t at_2000 = index.Stats().bytes;
     for (std::size_t i = 2000; i < 3000; ++i) store.Append(db[i]);
     ASSERT_TRUE(store.SetLeakIndexed(index).ok());
     bytes_at_3000[w] = index.Stats().bytes;
-    EXPECT_EQ(bytes_at_3000[w] - at_2000, 9u * 1000u)
+    EXPECT_EQ(index.Stats().covered, 3000u);
+    EXPECT_EQ(bytes_at_3000[w], at_2000)
         << widths[w] << " attributes per record";
   }
   // Four times the attributes cost only the wider scratch row.
@@ -598,6 +600,56 @@ TEST(IncFeedTest, DeadSinksArePrunedAndEpochBumpsFanOut) {
   feed.Shutdown();
 }
 
+/// Counts the allocations made through it that are still live.
+template <typename T>
+struct CountingAllocator {
+  using value_type = T;
+
+  explicit CountingAllocator(std::size_t* live_blocks) : live(live_blocks) {}
+  template <typename U>
+  CountingAllocator(const CountingAllocator<U>& other) : live(other.live) {}
+
+  T* allocate(std::size_t n) {
+    ++*live;
+    return std::allocator<T>().allocate(n);
+  }
+  void deallocate(T* ptr, std::size_t n) {
+    --*live;
+    std::allocator<T>().deallocate(ptr, n);
+  }
+  template <typename U>
+  bool operator==(const CountingAllocator<U>& other) const {
+    return live == other.live;
+  }
+
+  std::size_t* live;
+};
+
+class NullSink final : public DeltaSink {
+ public:
+  void OnAppend(const AppendDelta&) override {}
+  void OnEpochBump(uint64_t, std::string_view) override {}
+  bool BackgroundMaintain() override { return true; }
+};
+
+/// A sink allocated with allocate_shared keeps its whole block while any
+/// weak_ptr to it lives. A feed that sees registrations but no publishes
+/// (a read-only server evicting cache entries) must still release them.
+TEST(IncFeedTest, RegisterFreesTheBlocksOfExpiredSinks) {
+  std::size_t live_blocks = 0;
+  ChangeFeed feed;
+  const CountingAllocator<NullSink> alloc(&live_blocks);
+  for (int i = 0; i < 32; ++i) {
+    // The temporary dies as soon as Register returns: an evicted index.
+    feed.Register(std::allocate_shared<NullSink>(alloc));
+  }
+  auto kept = std::allocate_shared<NullSink>(alloc);
+  feed.Register(kept);
+  EXPECT_EQ(live_blocks, 1u) << "expired sinks' blocks are still allocated";
+  EXPECT_EQ(feed.registered(), 1u);
+  feed.Shutdown();
+}
+
 TEST(IncFeedTest, MaintenanceThreadRunsTheMaintainerHook) {
   const Database db = SeededDb(64, 31);
   const RecordStore store = RecordStore::FromDatabase(db);
@@ -610,7 +662,7 @@ TEST(IncFeedTest, MaintenanceThreadRunsTheMaintainerHook) {
   auto index = std::make_shared<LeakageIndex>(
       p, wm, &engine, &feed, options,
       [&store](LeakageIndex& idx) {
-        return idx.MaintainChunkLocked(store.rows(), store.index().symbols());
+        return idx.MaintainChunkLocked(store.rows(), store.index());
       });
   feed.Register(index);
   feed.RequestMaintenance(index);
